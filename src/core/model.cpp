@@ -204,7 +204,7 @@ void PairModel::CheckInvariants() const {
   }
 }
 
-StepOutcome PairModel::Step(double x, double y) {
+StepOutcome PairModel::Step(double x, double y, ScoreMode mode) {
   // Audit builds re-verify the full model after every step, on every
   // exit path (missing, outlier, extension, scored). noexcept(false):
   // the test-mode failure handler throws.
@@ -273,11 +273,22 @@ StepOutcome PairModel::Step(double x, double y) {
   if (prev_cell_) {
     out.has_score = true;
     ++stats_.scored;
-    // One fused row scan (probability + rank together) instead of the
-    // separate Probability and RankOf passes; bitwise-identical results.
-    const TransitionScore score = matrix_.ScoreTransition(*prev_cell_, *cell);
-    out.probability = score.probability;
-    out.rank = score.rank;
+    // The delta alarm below is the only reader of the probability
+    // inside Step.
+    const bool want_probability =
+        mode == ScoreMode::kFull || config_.delta > 0.0;
+    if (want_probability) {
+      // One fused row scan (probability + rank together) instead of the
+      // separate Probability and RankOf passes; bitwise-identical results.
+      const TransitionScore score =
+          matrix_.ScoreTransition(*prev_cell_, *cell);
+      out.probability = score.probability;
+      out.rank = score.rank;
+    } else {
+      // Skip the row normalization (one exp per cell): the rank is the
+      // same integer without it.
+      out.rank = matrix_.RankOf(*prev_cell_, *cell);
+    }
     out.fitness = RankFitness(out.rank, matrix_.CellCount());
     out.alarm = (config_.delta > 0.0 && out.probability < config_.delta) ||
                 (config_.fitness_alarm_threshold > 0.0 &&

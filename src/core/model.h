@@ -26,6 +26,10 @@ struct StepOutcome {
   double fitness = 0.0;
 
   /// P(x_t -> x_{t+1}) from the current posterior; 0 for outliers.
+  /// Under ScoreMode::kRankOnly it is computed only when the model's
+  /// delta bound is armed (the alarm needs it); otherwise it stays 0
+  /// even for a scored step. Where computed it has the same bits in
+  /// both modes.
   double probability = 0.0;
 
   /// 1-based rank of the observed destination cell (0 when not scored).
@@ -51,6 +55,19 @@ struct StepOutcome {
   /// Cell containing the observation (after any extension); nullopt for
   /// outliers.
   std::optional<std::size_t> cell;
+};
+
+/// What PairModel::Step computes for a scored transition. The paper's
+/// fitness Q^{a,b} = 1 - (pi(c_h) - 1)/s needs only the rank, and the
+/// rank does not change when row i is normalized; the probability costs
+/// one exp per cell of the row.
+enum class ScoreMode : std::uint8_t {
+  /// Rank and probability (the full StepOutcome).
+  kFull = 0,
+  /// Rank only; the probability is computed only when the delta bound
+  /// is armed. Fitness, rank, alarm and model updates are bitwise those
+  /// of kFull.
+  kRankOnly = 1,
 };
 
 /// Lifetime counters for reports and tests.
@@ -97,7 +114,8 @@ class PairModel {
   /// Figure 6): locates the cell (growing the boundary when the point is
   /// just outside and the model is adaptive), scores the transition,
   /// raises alarms, and — when adaptive and not alarmed — updates V.
-  StepOutcome Step(double x, double y);
+  /// `mode` only decides whether StepOutcome::probability is computed.
+  StepOutcome Step(double x, double y, ScoreMode mode = ScoreMode::kFull);
 
   /// Forgets the previous observation so the next Step starts a fresh
   /// transition sequence (use when jumping across a time gap).

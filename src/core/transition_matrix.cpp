@@ -97,12 +97,19 @@ std::size_t TransitionMatrix::RankInRow(std::size_t from, std::size_t to,
     }
     return rank;
   }
+  // Cold row: the tie-break (w == target && j < to) splits the scan at
+  // `to` into two branch-free counts — cells before `to` count when
+  // w >= target, cells from `to` on only when w > target (`to` itself
+  // never counts). The same integer as the one-loop form, NaN included:
+  // every comparison with a NaN is false in both.
   const double* pw = prior_logw_.data() + from * cells_;
   const double* ev = evidence_.data() + from * cells_;
   std::size_t rank = 1;
-  for (std::size_t j = 0; j < cells_; ++j) {
-    const double w = pw[j] + ev[j];
-    if (w > target || (w == target && j < to)) ++rank;
+  for (std::size_t j = 0; j < to; ++j) {
+    rank += static_cast<std::size_t>(pw[j] + ev[j] >= target);
+  }
+  for (std::size_t j = to; j < cells_; ++j) {
+    rank += static_cast<std::size_t>(pw[j] + ev[j] > target);
   }
   return rank;
 }

@@ -143,7 +143,9 @@ class TransitionMatrix {
   /// The paper's ranking function π over row `from`: rank 1 is the most
   /// probable destination. Ties break toward the lower cell index, making
   /// ranks deterministic. Returns a 1-based rank in [1, s], or 0 on an
-  /// empty matrix.
+  /// empty matrix. Needs no normalization: O(log s) through the sorted
+  /// cache when ScoreTransition built it, else one branch-free O(s) scan
+  /// (no exp); it fills no cache itself.
   std::size_t RankOf(std::size_t from, std::size_t to) const;
 
   /// Cell index with the highest probability in row `from` (0 on an

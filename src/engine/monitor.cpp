@@ -28,6 +28,12 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+// The engine reads a pair step's fitness, rank, alarm and outlier flags
+// but never its probability, so it skips the row normalization; a pair
+// with an armed delta bound still computes the probability its alarm
+// needs (PairModel::Step).
+constexpr ScoreMode kEngineScoring = ScoreMode::kRankOnly;
+
 // Bitwise double equality — delta change detection distinguishes NaN
 // payloads and signed zeros, so reconstruction is exact, not within-eps.
 bool SameBits(double a, double b) {
@@ -269,7 +275,7 @@ void SystemMonitor::Step(std::span<const double> values, TimePoint tp,
         retrain_->Observe(i, x, y);
       }
       if (!guarded) {
-        outcomes[i] = models_[i].Step(x, y);
+        outcomes[i] = models_[i].Step(x, y, kEngineScoring);
         continue;
       }
       switch (quarantine_.BeginStep(i, sample_index)) {
@@ -286,7 +292,7 @@ void SystemMonitor::Step(std::span<const double> values, TimePoint tp,
         if (fault_plan_ != nullptr) {
           fault_plan_->CheckPairStep(i, sample_index);
         }
-        outcomes[i] = models_[i].Step(x, y);
+        outcomes[i] = models_[i].Step(x, y, kEngineScoring);
         quarantine_.RecordSuccess(i, sample_index, outcomes[i].outlier);
       } catch (const std::exception& e) {
         if (!quarantine_.Enabled()) throw;
@@ -489,7 +495,8 @@ void SystemMonitor::RunImpl(const MeasurementFrame& test,
               }
               try {
                 if (fault_plan_ != nullptr) fault_plan_->CheckPairStep(i, s);
-                const StepOutcome out = model.Step(x[t], y[t]);
+                const StepOutcome out =
+                    model.Step(x[t], y[t], kEngineScoring);
                 quarantine_.RecordSuccess(i, s, out.outlier);
                 cell.fitness = out.fitness;
                 cell.has_score = out.has_score;
@@ -531,7 +538,7 @@ void SystemMonitor::RunImpl(const MeasurementFrame& test,
             if (guard.any_break && guard.seq_break[t] != 0) {
               model.ResetSequence();
             }
-            const StepOutcome out = model.Step(x[t], y[t]);
+            const StepOutcome out = model.Step(x[t], y[t], kEngineScoring);
             SweepCell& cell = row[t - t0];
             cell.fitness = out.fitness;
             cell.has_score = out.has_score;

@@ -1,6 +1,7 @@
 #include "io/atomic_file.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <sstream>
 #include <utility>
@@ -185,17 +186,58 @@ void AtomicWriteFile(const std::string& path, std::string_view content) {
   SyncDirectory(DirectoryOf(path));
 }
 
-std::uint32_t Crc32(std::string_view bytes) {
-  // Table-less bitwise CRC-32: the checkpoint trailer covers megabytes
-  // at most and is written once per rotation, so simplicity beats a
-  // 1 KiB table.
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (const char c : bytes) {
-    crc ^= static_cast<unsigned char>(c);
+namespace {
+
+constexpr std::uint32_t kCrc32Poly = 0xEDB88320u;
+
+// Slicing-by-8 tables: kCrc32Tables[0][b] is the CRC of byte b, and
+// kCrc32Tables[k][b] the CRC of byte b followed by k zero bytes, so one
+// step folds eight input bytes with eight independent lookups.
+using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables t{};
+  for (std::uint32_t b = 0; b < 256; ++b) {
+    std::uint32_t crc = b;
     for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+      crc = (crc >> 1) ^ (kCrc32Poly & (0u - (crc & 1u)));
+    }
+    t[0][b] = crc;
+  }
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t b = 0; b < 256; ++b) {
+      t[k][b] = (t[k - 1][b] >> 8) ^ t[0][t[k - 1][b] & 0xFFu];
     }
   }
+  return t;
+}
+
+constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
+
+// Little-endian 32-bit load, independent of host byte order and
+// alignment.
+std::uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+}  // namespace
+
+std::uint32_t Crc32(std::string_view bytes) {
+  const auto& t = kCrc32Tables;
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  std::size_t n = bytes.size();
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = crc ^ LoadLe32(p);
+    const std::uint32_t hi = LoadLe32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xFFu];
   return crc ^ 0xFFFFFFFFu;
 }
 

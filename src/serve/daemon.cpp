@@ -54,10 +54,12 @@ struct Connection {
 };
 
 /// Builds one tenant: restore from its checkpoint when one exists,
-/// otherwise train from the trace.
+/// otherwise train from the trace. Sets `restored_primary` when the
+/// monitor came from the primary generation (its state is on disk).
 std::unique_ptr<SystemMonitor> BuildTenantMonitor(
     const ServeDaemonOptions& options, const ServeTenantSpec& spec,
-    const std::string& checkpoint_path) {
+    const std::string& checkpoint_path, bool& restored_primary) {
+  restored_primary = false;
   if (!checkpoint_path.empty()) {
     CheckpointRecoveryInfo recovery;
     try {
@@ -70,6 +72,7 @@ std::unique_ptr<SystemMonitor> BuildTenantMonitor(
         std::printf("tenant %s: rejected newer candidate %s\n",
                     spec.name.c_str(), rejection.c_str());
       }
+      restored_primary = recovery.generation == 0;
       return monitor;
     } catch (const std::exception&) {
       // No generation loadable: cold start from the trace.
@@ -154,8 +157,10 @@ int RunServeDaemon(const ServeDaemonOptions& options) {
     config.checkpoint_every = options.checkpoint_every;
     config.checkpoint_path = checkpoint_path;
     config.ingest_delay_ms = options.ingest_delay_ms;
-    core.AddTenant(std::move(config),
-                   BuildTenantMonitor(options, spec, checkpoint_path));
+    bool restored_primary = false;
+    std::unique_ptr<SystemMonitor> monitor =
+        BuildTenantMonitor(options, spec, checkpoint_path, restored_primary);
+    core.AddTenant(std::move(config), std::move(monitor), restored_primary);
   }
 
   sockaddr_un addr{};

@@ -153,7 +153,8 @@ struct DrainedTenant {
   std::string name;
   std::uint8_t state = 0;  // TenantState
   std::uint64_t processed = 0;
-  /// 0 = no checkpoint configured, 1 = written, 2 = failed.
+  /// 0 = no checkpoint configured, 1 = sealed (written, or the state
+  /// was already on disk), 2 = failed.
   std::uint8_t checkpoint = 0;
 };
 

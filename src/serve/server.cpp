@@ -8,13 +8,15 @@
 namespace pmcorr {
 
 std::size_t ServeCore::AddTenant(TenantConfig config,
-                                 std::unique_ptr<SystemMonitor> monitor) {
+                                 std::unique_ptr<SystemMonitor> monitor,
+                                 bool state_on_disk) {
   if (FindTenant(config.name) != nullptr) {
     throw std::invalid_argument("ServeCore: duplicate tenant name \"" +
                                 config.name + "\"");
   }
   tenants_.push_back(
-      std::make_unique<TenantRuntime>(std::move(config), std::move(monitor)));
+      std::make_unique<TenantRuntime>(std::move(config), std::move(monitor),
+                                      state_on_disk));
   return tenants_.size() - 1;
 }
 
@@ -38,15 +40,16 @@ DrainedReply ServeCore::Drain() {
     if (tenant->Config().checkpoint_path.empty()) {
       entry.checkpoint = 0;
     } else {
-      // "ok" means the drain sealed with a good final checkpoint: the
-      // most recent write attempt succeeded. Earlier cadence successes
-      // do not excuse a torn seal — a poisoned tenant or a failed final
-      // write reports 2 and recovery falls back a generation.
-      entry.checkpoint =
-          (status.state == TenantState::kDrained &&
-           status.counters.checkpoints > 0 && !status.last_checkpoint_failed)
-              ? 1
-              : 2;
+      // "ok" means the drained state is sealed in the primary file: the
+      // final write succeeded, or the state was already on disk (a
+      // restored or freshly checkpointed tenant with no row since).
+      // Earlier cadence successes do not excuse a torn seal — a poisoned
+      // tenant or a failed final write reports 2 and recovery falls
+      // back a generation.
+      entry.checkpoint = (status.state == TenantState::kDrained &&
+                          status.state_on_disk)
+                             ? 1
+                             : 2;
     }
     reply.tenants.push_back(std::move(entry));
   }

@@ -21,8 +21,10 @@ namespace pmcorr {
 /// call; after serving begins the registry is immutable (lookup only).
 class ServeCore {
  public:
+  /// `state_on_disk` as for the TenantRuntime constructor.
   std::size_t AddTenant(TenantConfig config,
-                        std::unique_ptr<SystemMonitor> monitor);
+                        std::unique_ptr<SystemMonitor> monitor,
+                        bool state_on_disk = false);
 
   TenantRuntime* FindTenant(std::string_view name);
   TenantRuntime& Tenant(std::size_t i) { return *tenants_.at(i); }

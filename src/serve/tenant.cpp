@@ -9,8 +9,11 @@
 namespace pmcorr {
 
 TenantRuntime::TenantRuntime(TenantConfig config,
-                             std::unique_ptr<SystemMonitor> monitor)
-    : config_(std::move(config)), monitor_(std::move(monitor)) {
+                             std::unique_ptr<SystemMonitor> monitor,
+                             bool state_on_disk)
+    : config_(std::move(config)),
+      monitor_(std::move(monitor)),
+      state_on_disk_(state_on_disk && !config_.checkpoint_path.empty()) {
   if (config_.queue_budget == 0) config_.queue_budget = 1;
   high_watermark_ = config_.backpressure_high != 0
                         ? config_.backpressure_high
@@ -78,6 +81,7 @@ bool TenantRuntime::PopRowLocked() {
   if (queue_.empty()) return false;
   row_scratch_ = std::move(queue_.front());
   queue_.pop_front();
+  state_on_disk_ = false;
   if (backpressure_ && queue_.size() <= low_watermark_) {
     backpressure_ = false;
     ++counters_.backpressure_clears;
@@ -106,20 +110,24 @@ void TenantRuntime::MaybeCheckpoint(bool final_checkpoint) {
   if (!final_checkpoint) {
     if (config_.checkpoint_every == 0) return;
     if (rows_since_checkpoint_ < config_.checkpoint_every) return;
+  } else {
+    // A re-seal would write the same state and rotate the good
+    // generation away to .g1.
+    const MutexLock lock(mu_);
+    if (state_on_disk_) return;
   }
   try {
     SaveSystemMonitor(*monitor_, config_.checkpoint_path, config_.checkpoint);
     rows_since_checkpoint_ = 0;
     const MutexLock lock(mu_);
     ++counters_.checkpoints;
-    last_checkpoint_failed_ = false;
+    state_on_disk_ = true;
   } catch (const std::exception& e) {
     // A failed checkpoint is a counted degradation, not a crash: the
     // tenant keeps serving from memory and retries at the next cadence;
     // recovery falls back to the previous good generation.
     const MutexLock lock(mu_);
     ++counters_.checkpoint_failures;
-    last_checkpoint_failed_ = true;
     last_error_ = e.what();
   }
 }
@@ -231,7 +239,7 @@ TenantStatus TenantRuntime::Status() const {
   status.queue_rows = queue_.size();
   status.queue_budget = config_.queue_budget;
   status.backpressure = backpressure_;
-  status.last_checkpoint_failed = last_checkpoint_failed_;
+  status.state_on_disk = state_on_disk_;
   status.last_error = last_error_;
   return status;
 }

@@ -109,9 +109,11 @@ struct TenantStatus {
   std::size_t queue_rows = 0;
   std::size_t queue_budget = 0;
   bool backpressure = false;
-  /// True when the most recent checkpoint attempt failed — a success
-  /// resets it, so this reports the state of the *current* seal.
-  bool last_checkpoint_failed = false;
+  /// True when the primary checkpoint file holds the engine's current
+  /// state: the tenant was restored from it or its last checkpoint
+  /// succeeded, and no row was processed since. A failed checkpoint
+  /// leaves it false, so after a drain it reports the final seal.
+  bool state_on_disk = false;
   std::string last_error;
 };
 
@@ -136,7 +138,11 @@ struct AdmitResult {
 
 class TenantRuntime {
  public:
-  TenantRuntime(TenantConfig config, std::unique_ptr<SystemMonitor> monitor);
+  /// `state_on_disk`: `monitor` was just restored from the primary
+  /// generation of config.checkpoint_path, so a drain before any row is
+  /// processed has nothing new to seal.
+  TenantRuntime(TenantConfig config, std::unique_ptr<SystemMonitor> monitor,
+                bool state_on_disk = false);
 
   /// Abrupt stop: the worker is told to quit after its current row;
   /// queued rows are dropped and NO final checkpoint is written. This
@@ -151,8 +157,9 @@ class TenantRuntime {
   AdmitResult Submit(const SampleRow& row) PMCORR_EXCLUDES(mu_);
 
   /// Graceful shutdown: stop admitting, process every queued row, write
-  /// the final checkpoint, move to kDrained. Blocks until done (in
-  /// manual mode, processes inline). Poisoned tenants return
+  /// the final checkpoint (skipped when TenantStatus::state_on_disk
+  /// already holds), move to kDrained. Blocks until done (in manual
+  /// mode, processes inline). Poisoned tenants return
   /// immediately — their last-good checkpoint must stay untouched.
   void Drain() PMCORR_EXCLUDES(mu_);
 
@@ -185,8 +192,8 @@ class TenantRuntime {
   void ProcessRow(const SampleRow& row);
   void MaybeCheckpoint(bool final_checkpoint) PMCORR_EXCLUDES(mu_);
   void Poison(const std::string& what) PMCORR_EXCLUDES(mu_);
-  /// Pops the next row into row_scratch_; clears backpressure at the
-  /// low watermark.
+  /// Pops the next row into row_scratch_ (the engine state is about to
+  /// leave what is on disk); clears backpressure at the low watermark.
   bool PopRowLocked() PMCORR_REQUIRES(mu_);
 
   TenantConfig config_;
@@ -205,7 +212,7 @@ class TenantRuntime {
   TenantCounters counters_ PMCORR_GUARDED_BY(mu_);
   bool backpressure_ PMCORR_GUARDED_BY(mu_) = false;
   bool stop_ PMCORR_GUARDED_BY(mu_) = false;
-  bool last_checkpoint_failed_ PMCORR_GUARDED_BY(mu_) = false;
+  bool state_on_disk_ PMCORR_GUARDED_BY(mu_) = false;
   std::string last_error_ PMCORR_GUARDED_BY(mu_);
 
   std::atomic<std::shared_ptr<const TenantPublishedState>> published_;

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -193,6 +194,54 @@ TEST(CheckpointRecovery, TrailerVerifierAcceptsStripsAndRejects) {
   // Malformed trailer line.
   EXPECT_THROW(VerifyCheckpointTrailer(content + "trailer crc32 zzz\n"),
                std::runtime_error);
+}
+
+// The table-less bitwise CRC-32 the table-driven Crc32 replaced: one
+// shift per input bit. It stays here as the oracle.
+std::uint32_t BitwiseCrc32(std::string_view bytes) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const char c : bytes) {
+    crc ^= static_cast<unsigned char>(c);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::string RandomBytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::string bytes(n, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.UniformInt(0, 255));
+  return bytes;
+}
+
+TEST(Crc32, KnownAnswers) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);  // the CRC-32 check value
+  EXPECT_EQ(Crc32(""), 0u);
+  EXPECT_EQ(Crc32(std::string_view()), 0u);
+  EXPECT_EQ(BitwiseCrc32("123456789"), 0xCBF43926u);
+}
+
+TEST(Crc32, MatchesBitwiseOracleAtEveryLengthAndAlignment) {
+  // Lengths 0-300 cover the empty input, the byte tail alone (< 8) and
+  // every tail length after whole eight-byte steps; offsets 0-7 start
+  // the eight-byte loads at every alignment.
+  const std::string bytes = RandomBytes(300 + 8, 77);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 300; ++length) {
+      const std::string_view view(bytes.data() + offset, length);
+      ASSERT_EQ(Crc32(view), BitwiseCrc32(view))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32, MatchesBitwiseOracleOnMultiMiBBuffer) {
+  const std::string bytes = RandomBytes((3u << 20) + 5, 78);
+  EXPECT_EQ(Crc32(bytes), BitwiseCrc32(bytes));
+  const std::string_view unaligned(bytes.data() + 3, bytes.size() - 3);
+  EXPECT_EQ(Crc32(unaligned), BitwiseCrc32(unaligned));
 }
 
 // The tentpole proof: sweep a simulated crash across every write point

@@ -1,12 +1,18 @@
 // Tests for PairModel: the full observe/score/alarm/update loop.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/model.h"
+#include "io/model_io.h"
 
 namespace pmcorr {
 namespace {
@@ -250,6 +256,93 @@ TEST(PairModel, StatsCountersConsistent) {
   EXPECT_EQ(stats.steps, 200u);
   EXPECT_LE(stats.scored, stats.steps);
   EXPECT_LE(stats.matrix_updates, stats.scored);
+}
+
+std::string Saved(const PairModel& model) {
+  std::ostringstream out;
+  SavePairModel(model, out);
+  return out.str();
+}
+
+// Rank-only scoring differs from full scoring only in the probability it
+// leaves out: over a stream with grid extensions, outliers, gaps and
+// alarmed (non-updating) jumps, every other field and the final model
+// bytes agree, for both kernels and every update rule; with an armed
+// delta bound the probability is computed and bit-equal too.
+TEST(PairModel, RankOnlyStepMatchesFullStep) {
+  std::vector<double> xs, ys;
+  MakeHistory(1600, 29, &xs, &ys);
+  const std::span<const double> hx(xs.data(), 1000);
+  const std::span<const double> hy(ys.data(), 1000);
+  for (const auto kernel : {KernelConfig::Type::kTriangular,
+                            KernelConfig::Type::kExponential}) {
+    for (const double forgetting : {1.0, 0.95}) {
+      for (const double weight : {1.0, 0.7}) {
+        for (const double delta : {0.0, 0.02}) {
+          ModelConfig config = DefaultConfig();
+          config.kernel.type = kernel;
+          config.forgetting = forgetting;
+          config.likelihood_weight = weight;
+          config.delta = delta;
+          config.fitness_alarm_threshold = 0.2;
+          PairModel full = PairModel::Learn(hx, hy, config);
+          PairModel rank_only = full;
+          const std::string label =
+              "kernel " + std::to_string(static_cast<int>(kernel)) +
+              " forgetting " + std::to_string(forgetting) + " weight " +
+              std::to_string(weight) + " delta " + std::to_string(delta);
+
+          std::size_t probability_alarms = 0;
+          for (std::size_t t = 1000; t < xs.size(); ++t) {
+            double x = xs[t];
+            double y = ys[t];
+            if (t % 61 == 0) {
+              x = 1e7;  // outlier
+            } else if (t % 47 == 0) {
+              y = std::numeric_limits<double>::quiet_NaN();  // gap
+            } else if (t % 29 == 0) {
+              y = 100.0 - y;  // decorrelated jump
+            } else if (t >= 1300 && t < 1312) {
+              // Drift just past the boundary: one extension per sample.
+              x = full.Grid().Dim1().Hi() +
+                  0.4 * full.Grid().InitialAvgWidthDim1();
+            }
+            const StepOutcome a = full.Step(x, y);
+            const StepOutcome b = rank_only.Step(x, y, ScoreMode::kRankOnly);
+            ASSERT_EQ(a.has_score, b.has_score) << label << " t " << t;
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(a.fitness),
+                      std::bit_cast<std::uint64_t>(b.fitness))
+                << label << " t " << t;
+            ASSERT_EQ(a.rank, b.rank) << label << " t " << t;
+            ASSERT_EQ(a.alarm, b.alarm) << label << " t " << t;
+            ASSERT_EQ(a.outlier, b.outlier) << label << " t " << t;
+            ASSERT_EQ(a.missing, b.missing) << label << " t " << t;
+            ASSERT_EQ(a.extended_grid, b.extended_grid)
+                << label << " t " << t;
+            ASSERT_EQ(a.cell, b.cell) << label << " t " << t;
+            if (delta > 0.0) {
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(a.probability),
+                        std::bit_cast<std::uint64_t>(b.probability))
+                  << label << " t " << t;
+              if (a.has_score && !a.outlier && a.probability < delta) {
+                ++probability_alarms;
+              }
+            } else {
+              ASSERT_EQ(b.probability, 0.0) << label << " t " << t;
+            }
+          }
+          EXPECT_EQ(Saved(full), Saved(rank_only)) << label;
+          // The stream reached every path it is meant to cover.
+          EXPECT_GT(full.Stats().extensions, 0u) << label;
+          EXPECT_GT(full.Stats().outliers, 0u) << label;
+          EXPECT_GT(full.Stats().alarms, full.Stats().outliers) << label;
+          if (delta > 0.0) {
+            EXPECT_GT(probability_alarms, 0u) << label;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,12 +2,15 @@
 // through manual-pump tenants (threaded = false) and the transport-free
 // ServeSession: bounded queues and whole-tick shedding, the
 // alarms-never-increase-under-shedding guarantee, watermark
-// backpressure accounting, bitwise multi-tenant isolation, the full
-// query protocol, and the MonitorConfig::retrain knob (detached
+// backpressure accounting, bitwise multi-tenant isolation, drain seals
+// that write only state not yet on disk, the full query protocol, and
+// the MonitorConfig::retrain knob (detached
 // RetrainPool adoption, bitwise-off when disabled).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -261,6 +264,138 @@ TEST(TenantRuntime, PoisonedTenantIsFencedOff) {
 
   // The neighbor never noticed.
   EXPECT_EQ(CheckpointString(b.Monitor()), CheckpointString(*solo));
+}
+
+// ---------------------------------------------------------------------
+// Drain seals.
+// ---------------------------------------------------------------------
+
+// A fresh, empty checkpoint directory per test.
+class SealDir {
+ public:
+  explicit SealDir(const std::string& name)
+      : dir_(std::filesystem::path(testing::TempDir()) / name) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  ~SealDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(dir_, ignored);
+  }
+  std::string Path(const std::string& file) const {
+    return (dir_ / file).string();
+  }
+
+ private:
+  std::filesystem::path dir_;
+};
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+TenantConfig CheckpointedTenant(const std::string& path) {
+  TenantConfig config = ManualTenant("A", 64);
+  config.checkpoint_path = path;
+  config.checkpoint_every = 20;
+  return config;
+}
+
+// Leaves a primary checkpoint and a .g1 at `path`: a cadence seal after
+// row 20, then the drain seal after row 30.
+void WriteTwoGenerations(const std::string& path) {
+  TenantRuntime tenant(CheckpointedTenant(path), MakeMonitor(72));
+  for (const SampleRow& row : Rows(CorrelatedFrame(30, 71))) {
+    tenant.Submit(row);
+  }
+  tenant.Drain();
+  ASSERT_EQ(tenant.Status().counters.checkpoints, 2u);
+}
+
+TEST(TenantRuntime, DrainOfUnchangedRestoredTenantWritesNothing) {
+  SealDir dir("pmcorr_serve_restored_drain");
+  const std::string path = dir.Path("A.ckpt");
+  WriteTwoGenerations(path);
+  const std::string primary = FileBytes(path);
+  const std::string g1 = FileBytes(path + ".g1");
+  ASSERT_FALSE(primary.empty());
+  ASSERT_FALSE(g1.empty());
+
+  CheckpointRecoveryInfo recovery;
+  std::unique_ptr<SystemMonitor> monitor =
+      LoadSystemMonitor(path, 1, &recovery);
+  ASSERT_EQ(recovery.generation, 0u);
+  ServeCore core;
+  core.AddTenant(CheckpointedTenant(path), std::move(monitor),
+                 /*state_on_disk=*/true);
+  const DrainedReply reply = core.Drain();
+  ASSERT_EQ(reply.tenants.size(), 1u);
+  EXPECT_EQ(reply.tenants[0].checkpoint, 1);  // sealed: "ok"
+
+  const TenantStatus status = core.Tenant(0).Status();
+  EXPECT_EQ(status.state, TenantState::kDrained);
+  EXPECT_EQ(status.counters.checkpoints, 0u);
+  EXPECT_TRUE(status.state_on_disk);
+  EXPECT_EQ(FileBytes(path), primary);
+  EXPECT_EQ(FileBytes(path + ".g1"), g1);
+}
+
+TEST(TenantRuntime, DrainSealsOnlyStateNotYetOnDisk) {
+  SealDir dir("pmcorr_serve_drain_seal");
+  const std::vector<SampleRow> rows = Rows(CorrelatedFrame(20, 73));
+
+  // The cadence checkpoint after row 20 is the last state: the drain
+  // writes nothing more.
+  const std::string cadence_path = dir.Path("cadence.ckpt");
+  {
+    TenantRuntime tenant(CheckpointedTenant(cadence_path), MakeMonitor(74));
+    for (const SampleRow& row : rows) tenant.Submit(row);
+    ASSERT_EQ(tenant.Pump(rows.size()), rows.size());
+    ASSERT_EQ(tenant.Status().counters.checkpoints, 1u);
+    const std::string sealed = FileBytes(cadence_path);
+    tenant.Drain();
+    EXPECT_EQ(tenant.Status().counters.checkpoints, 1u);
+    EXPECT_TRUE(tenant.Status().state_on_disk);
+    EXPECT_EQ(FileBytes(cadence_path), sealed);
+    EXPECT_FALSE(std::filesystem::exists(cadence_path + ".g1"));
+  }
+
+  // A cold-trained tenant has nothing on disk: an immediate drain seals.
+  const std::string cold_path = dir.Path("cold.ckpt");
+  {
+    TenantRuntime tenant(CheckpointedTenant(cold_path), MakeMonitor(75));
+    tenant.Drain();
+    EXPECT_EQ(tenant.Status().counters.checkpoints, 1u);
+    EXPECT_TRUE(std::filesystem::exists(cold_path));
+  }
+
+  // A tenant restored from an older generation is not what the primary
+  // holds: its drain seals and rotates.
+  const std::string old_path = dir.Path("old.ckpt");
+  WriteTwoGenerations(old_path);
+  const std::string primary = FileBytes(old_path);
+  {
+    TenantRuntime tenant(CheckpointedTenant(old_path),
+                         LoadSystemMonitor(old_path + ".g1", 1),
+                         /*state_on_disk=*/false);
+    tenant.Drain();
+    EXPECT_EQ(tenant.Status().counters.checkpoints, 1u);
+    EXPECT_EQ(FileBytes(old_path + ".g1"), primary);
+  }
+
+  // One processed row after a restore leaves the disk behind.
+  {
+    TenantRuntime tenant(CheckpointedTenant(old_path),
+                         LoadSystemMonitor(old_path, 1),
+                         /*state_on_disk=*/true);
+    tenant.Submit(rows[0]);
+    tenant.Drain();
+    EXPECT_EQ(tenant.Status().counters.checkpoints, 1u);
+    EXPECT_TRUE(tenant.Status().state_on_disk);
+  }
 }
 
 // ---------------------------------------------------------------------

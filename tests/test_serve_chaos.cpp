@@ -221,18 +221,24 @@ TEST(ServeChaos, EveryCheckpointKillPointRecoversToLastGood) {
 // ---------------------------------------------------------------------
 
 TEST(ServeChaos, TornDrainSealFallsBackOneGeneration) {
-  const std::vector<SampleRow> rows = Rows(CorrelatedFrame(40, 111));
+  const std::vector<SampleRow> rows = Rows(CorrelatedFrame(45, 111));
+  constexpr std::size_t kSealed = 40;  // rows covered by the cadence
   ChaosDir dir("pmcorr_serve_chaos_torn");
   const std::string path = dir.Path("a.ckpt");
 
   ServeCore core;
   core.AddTenant(ManualTenant("A", path, 20), MakeMonitor());
   TenantRuntime& tenant = core.Tenant(0);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
+  auto at_last_cadence = MakeMonitor();
+  for (std::size_t i = 0; i < kSealed; ++i) {
     tenant.Submit(rows[i]);
     tenant.Pump(1);
+    at_last_cadence->Step(rows[i].values, rows[i].time);
   }
   ASSERT_EQ(tenant.Status().counters.checkpoints, 2u);
+  // Rows past the last cadence checkpoint leave the drain something to
+  // seal (a state already on disk is not re-sealed).
+  for (std::size_t i = kSealed; i < rows.size(); ++i) tenant.Submit(rows[i]);
 
   DrainedReply drained;
   {
@@ -250,12 +256,12 @@ TEST(ServeChaos, TornDrainSealFallsBackOneGeneration) {
 
   // The seal rotated the primary into .g1 before the write died, so the
   // primary slot is empty — but nothing torn is loadable, and recovery
-  // probes straight through to the last cadence checkpoint (40 rows,
-  // exactly the live engine's state) one generation back.
+  // probes straight through to the last cadence checkpoint (40 rows)
+  // one generation back.
   EXPECT_FALSE(std::filesystem::exists(path));
   CheckpointRecoveryInfo info;
   auto recovered = LoadSystemMonitor(path, 1, &info);
-  EXPECT_EQ(CheckpointString(*recovered), CheckpointString(tenant.Monitor()));
+  EXPECT_EQ(CheckpointString(*recovered), CheckpointString(*at_last_cadence));
   EXPECT_EQ(info.generation, 1u);
 }
 

@@ -309,6 +309,58 @@ TEST(TransitionMatrix, ScoreTransitionMatchesSeparateQueriesBitwise) {
   EXPECT_EQ(after.rank, expect.rank);
 }
 
+// RankOf on its own (the engine's rank-only scoring) against the oracle:
+// on cold rows it runs the split counting scan, on warm rows the sorted
+// cache. Kernel-shaped rows are symmetric about their center cell, so
+// most destinations have exact ties both below and above their index.
+TEST(TransitionMatrix, RankOfMatchesOracleWithTiesOnBothSides) {
+  const Grid2D grid(IntervalList::Uniform(0.0, 5.0, 5),
+                    IntervalList::Uniform(0.0, 5.0, 5));
+  const TriangularKernel kernel;
+  TransitionMatrix matrix = TransitionMatrix::Prior(grid, kernel);
+  // Row 12 (the center) keeps its symmetry: the update adds the equally
+  // symmetric prior row 12. Row 3's update is off-center.
+  matrix.ObserveTransition(12, 12, grid, kernel);
+  matrix.ObserveTransition(3, 9, grid, kernel, 0.7, 0.95);
+  const std::size_t s = matrix.CellCount();
+
+  std::size_t tied_both_sides = 0;
+  for (std::size_t from = 0; from < s; ++from) {
+    const auto w = [&](std::size_t j) {
+      return matrix.PriorLogW(from, j) + matrix.Evidence()[from * s + j];
+    };
+    for (std::size_t to = 0; to < s; ++to) {
+      bool below = false, above = false;
+      for (std::size_t j = 0; j < s; ++j) {
+        if (j != to && w(j) == w(to)) (j < to ? below : above) = true;
+      }
+      if (below && above) ++tied_both_sides;
+      // RankOf fills no cache, so the row stays cold for every `to`.
+      EXPECT_EQ(matrix.RankOf(from, to), Oracle(matrix, from, to).rank)
+          << "cold " << from << "->" << to;
+    }
+  }
+  EXPECT_GT(tied_both_sides, s);
+
+  // Two scores of an unchanged row fill its stats, then its sorted
+  // cache; RankOf then answers from the sorted copy.
+  for (std::size_t from = 0; from < s; ++from) {
+    (void)matrix.ScoreTransition(from, 0);
+    (void)matrix.ScoreTransition(from, 0);
+    for (std::size_t to = 0; to < s; ++to) {
+      EXPECT_EQ(matrix.RankOf(from, to), Oracle(matrix, from, to).rank)
+          << "warm " << from << "->" << to;
+    }
+  }
+
+  // A write turns the row cold again.
+  matrix.ObserveTransition(12, 7, grid, kernel);
+  for (std::size_t to = 0; to < s; ++to) {
+    EXPECT_EQ(matrix.RankOf(12, to), Oracle(matrix, 12, to).rank)
+        << "rewritten 12->" << to;
+  }
+}
+
 TEST(TransitionMatrix, PriorAndStencilTrackGridExtension) {
   // After ExtendToInclude + ApplyExtension the stencil must match the
   // grown shape and every prior entry must equal direct kernel
