@@ -1,4 +1,4 @@
-// Fuzz target for the checkpoint text parsers: LoadPairModel and
+// Fuzz target for the binary checkpoint decoders: LoadPairModel and
 // LoadSystemMonitor. Contract under fuzzing: any byte stream either
 // loads or throws std::runtime_error — no crash, no sanitizer report,
 // no giant allocation from attacker-declared sizes, and no CheckFailure
@@ -28,11 +28,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     (void)pmcorr::LoadSystemMonitor(in, /*threads=*/1);
   } catch (const std::runtime_error&) {
   }
-  // The CRC trailer verifier sees every checkpoint before the parser
+  // The CRC footer verifier sees every checkpoint before the decoder
   // does, so it gets the rawest input of all three: arbitrary bytes must
-  // be passed through (no trailer), stripped (valid trailer), or
-  // rejected with runtime_error — never misread as covering the wrong
-  // span.
+  // be passed through (no footer), stripped (valid footer), or rejected
+  // with runtime_error — never misread as covering the wrong span.
   try {
     const std::string_view body = pmcorr::VerifyCheckpointTrailer(text);
     if (body.size() > text.size()) return 0;  // unreachable; keeps body used

@@ -157,12 +157,14 @@ PairModel PairModel::LearnSequential(std::span<const double> x,
 }
 
 PairModel PairModel::FromParts(ModelConfig config, Grid2D grid,
-                               TransitionMatrix matrix) {
+                               TransitionMatrix matrix,
+                               std::optional<std::size_t> prev_cell) {
   PairModel model;
   model.config_ = config;
   model.kernel_ = MakeKernel(config.kernel);
   model.grid_ = std::move(grid);
   model.matrix_ = std::move(matrix);
+  model.prev_cell_ = prev_cell;
   PMCORR_AUDIT_ONLY(model.CheckInvariants();)
   return model;
 }

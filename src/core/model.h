@@ -137,9 +137,11 @@ class PairModel {
   /// Cell of the previous in-grid observation, if any.
   std::optional<std::size_t> PreviousCell() const { return prev_cell_; }
 
-  /// Rebuilds internals from serialized parts (used by io/model_io).
+  /// Rebuilds internals from serialized parts (used by io/model_io),
+  /// including the previous cell a checkpointed model stopped at.
   static PairModel FromParts(ModelConfig config, Grid2D grid,
-                             TransitionMatrix matrix);
+                             TransitionMatrix matrix,
+                             std::optional<std::size_t> prev_cell = {});
 
   /// Audits the whole model M = (G, V): grid and matrix invariants,
   /// grid/matrix shape agreement, the stencil matching this model's

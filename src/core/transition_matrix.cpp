@@ -16,16 +16,14 @@
 
 namespace pmcorr {
 
-TransitionMatrix TransitionMatrix::Prior(const Grid2D& grid,
-                                         const DecayKernel& kernel) {
+TransitionMatrix TransitionMatrix::PriorTable(const Grid2D& grid,
+                                              const DecayKernel& kernel) {
   TransitionMatrix m;
   m.cells_ = grid.CellCount();
   m.rows_ = grid.Rows();
   m.cols_ = grid.Cols();
   m.stencil_ = KernelStencil(m.rows_, m.cols_, kernel);
   m.prior_logw_.resize(m.cells_ * m.cells_);
-  m.evidence_.assign(m.cells_ * m.cells_, 0.0);
-  m.counts_.assign(m.cells_ * m.cells_, 0);
   m.cache_.assign(m.cells_, RowCache{});
   // Row i of the prior is the stencil centered at cell i: each grid row
   // of destinations is one contiguous stencil slice.
@@ -38,6 +36,32 @@ TransitionMatrix TransitionMatrix::Prior(const Grid2D& grid,
       dst = std::copy(src, src + m.cols_, dst);
     }
   }
+  return m;
+}
+
+TransitionMatrix TransitionMatrix::Prior(const Grid2D& grid,
+                                         const DecayKernel& kernel) {
+  TransitionMatrix m = PriorTable(grid, kernel);
+  m.evidence_.assign(m.cells_ * m.cells_, 0.0);
+  m.counts_.assign(m.cells_ * m.cells_, 0);
+  return m;
+}
+
+TransitionMatrix TransitionMatrix::FromState(const Grid2D& grid,
+                                             const DecayKernel& kernel,
+                                             std::vector<double> evidence,
+                                             std::vector<std::uint32_t> counts,
+                                             std::uint64_t observed) {
+  const std::size_t entries = grid.CellCount() * grid.CellCount();
+  if (evidence.size() != entries || counts.size() != entries) {
+    throw std::invalid_argument(
+        "TransitionMatrix::FromState: state size does not match the grid");
+  }
+  TransitionMatrix m = PriorTable(grid, kernel);
+  m.evidence_ = std::move(evidence);
+  m.counts_ = std::move(counts);
+  m.observed_ = observed;
+  PMCORR_AUDIT_ONLY(m.CheckInvariants();)
   return m;
 }
 
@@ -511,7 +535,6 @@ void TransitionMatrix::CheckInvariants() const {
                                      << rows_ << "x" << cols_);
 
   std::uint64_t count_total = 0;
-  std::vector<std::uint8_t> seen(cells_, 0);
   for (std::size_t i = 0; i < cells_; ++i) {
     const double* pw = prior_logw_.data() + i * cells_;
     const double* ev = evidence_.data() + i * cells_;
@@ -569,13 +592,16 @@ void TransitionMatrix::CheckInvariants() const {
                                            << " sorted without stats");
       PMCORR_ASSERT(rc.sorted.size() == cells_,
                     "row " << i << " rank index size " << rc.sorted.size());
-      std::fill(seen.begin(), seen.end(), 0);
+      // Allocation-free permutation check (this audit runs after every
+      // Step, and the steady-state Step must not touch the heap): each
+      // key equals its cell's posterior and the order is strict in
+      // (desc weight, asc index), so a repeated cell would have to sit
+      // in one run of equal keys with a strictly increasing index — it
+      // cannot. s distinct in-range cells are a permutation of [0, s).
       for (std::size_t k = 0; k < rc.sorted.size(); ++k) {
         const auto& [w, j] = rc.sorted[k];
-        PMCORR_ASSERT(j < cells_ && !seen[j],
-                      "row " << i << " rank index entry " << k
-                             << " is not a permutation");
-        seen[j] = 1;
+        PMCORR_ASSERT(j < cells_, "row " << i << " rank index entry " << k
+                                         << " is out of range");
         PMCORR_ASSERT(w == pw[j] + ev[j],
                       "row " << i << " rank index weight for cell " << j
                              << " is stale");
@@ -590,20 +616,6 @@ void TransitionMatrix::CheckInvariants() const {
   PMCORR_ASSERT(count_total == observed_, "counts sum to "
                                               << count_total << ", observed "
                                               << observed_);
-}
-
-void TransitionMatrix::RestoreState(std::vector<double> evidence,
-                                    std::vector<std::uint32_t> counts,
-                                    std::uint64_t observed) {
-  if (evidence.size() != cells_ * cells_ || counts.size() != cells_ * cells_) {
-    throw std::invalid_argument(
-        "TransitionMatrix::RestoreState: size mismatch with current grid");
-  }
-  evidence_ = std::move(evidence);
-  counts_ = std::move(counts);
-  observed_ = observed;
-  cache_.assign(cells_, RowCache{});
-  PMCORR_AUDIT_ONLY(CheckInvariants();)
 }
 
 std::vector<std::uint64_t> TransitionDistanceHistogram(

@@ -88,6 +88,16 @@ class TransitionMatrix {
   /// centered at cell i; evidence starts at zero.
   static TransitionMatrix Prior(const Grid2D& grid, const DecayKernel& kernel);
 
+  /// Rebuilds a checkpointed matrix: the prior for `grid`, with the
+  /// saved evidence and counts (row-major, s*s each) moved in instead of
+  /// zero-filled. Throws std::invalid_argument when either array does
+  /// not hold s*s entries.
+  static TransitionMatrix FromState(const Grid2D& grid,
+                                    const DecayKernel& kernel,
+                                    std::vector<double> evidence,
+                                    std::vector<std::uint32_t> counts,
+                                    std::uint64_t observed);
+
   std::size_t CellCount() const { return cells_; }
 
   /// Normalized P(c_from -> c_to) under the current posterior.
@@ -177,11 +187,6 @@ class TransitionMatrix {
   const std::vector<double>& Evidence() const { return evidence_; }
   /// Empirical counts (row-major, s*s) — exposed for serialization.
   const std::vector<std::uint32_t>& Counts() const { return counts_; }
-  /// Restores evidence/counts saved earlier; the prior must already have
-  /// been rebuilt via Prior() on the same grid.
-  void RestoreState(std::vector<double> evidence,
-                    std::vector<std::uint32_t> counts,
-                    std::uint64_t observed);
 
   /// Grid shape the matrix was built for (rows * cols == CellCount()).
   std::size_t GridRows() const { return rows_; }
@@ -231,6 +236,11 @@ class TransitionMatrix {
     double sum_exp = 0.0;
     std::vector<std::pair<double, std::uint32_t>> sorted;
   };
+
+  /// Prior and FromState without the evidence and count arrays: the
+  /// stencil, the s*s prior table and the row caches for `grid`.
+  static TransitionMatrix PriorTable(const Grid2D& grid,
+                                     const DecayKernel& kernel);
 
   double PosteriorLogW(std::size_t from, std::size_t to) const {
     return prior_logw_[from * cells_ + to] + evidence_[from * cells_ + to];

@@ -112,6 +112,17 @@ struct SampleReport {
   std::size_t suppressed = 0;
 };
 
+/// The guard's stream clock: the last accepted timestamp and the
+/// cadence in force. Checkpointed with the monitor (io/monitor_io.h), so
+/// a restored guard still sees a gap that spans the restart.
+struct StreamClock {
+  bool has_last = false;
+  TimePoint last = 0;
+  Duration period = 0;
+
+  friend bool operator==(const StreamClock&, const StreamClock&) = default;
+};
+
 /// The guard itself: feed each arriving sample through Filter (in
 /// arrival order) before stepping the monitor. Filter mutates `values`
 /// in place — suppressed entries become NaN — and advances the health
@@ -134,6 +145,9 @@ class IngestGuard {
     return states_[m].health;
   }
 
+  /// Number of measurement feeds tracked.
+  std::size_t FeedCount() const { return states_.size(); }
+
   /// All measurement healths, indexed by measurement id.
   std::vector<MeasurementHealth> HealthStates() const;
 
@@ -155,6 +169,19 @@ class IngestGuard {
 
   /// The cadence the guard is enforcing (0 until learned).
   Duration ExpectedPeriod() const { return config_.expected_period; }
+
+  /// The stream clock, for checkpoints.
+  StreamClock Clock() const {
+    return {has_last_tp_, last_tp_, config_.expected_period};
+  }
+
+  /// Resumes a checkpointed clock. A clock that never learned its
+  /// period (0) keeps the configured one.
+  void RestoreClock(const StreamClock& clock) {
+    has_last_tp_ = clock.has_last;
+    last_tp_ = clock.last;
+    if (clock.period != 0) config_.expected_period = clock.period;
+  }
 
   /// Forgets per-feed value history and timing (call between
   /// discontiguous segments, alongside SystemMonitor::ResetSequences);

@@ -101,7 +101,8 @@ SystemMonitor::SystemMonitor(MonitorConfig config, MeasurementGraph graph,
                              std::vector<MeasurementInfo> infos,
                              std::vector<PairModel> models,
                              std::vector<ScoreAverager> measurement_averages,
-                             ScoreAverager system_average, std::size_t steps)
+                             ScoreAverager system_average, std::size_t steps,
+                             const StreamClock& clock)
     : config_(config),
       graph_(std::move(graph)),
       infos_(std::move(infos)),
@@ -117,6 +118,7 @@ SystemMonitor::SystemMonitor(MonitorConfig config, MeasurementGraph graph,
     throw std::invalid_argument(
         "SystemMonitor: checkpoint parts are inconsistent");
   }
+  guard_.RestoreClock(clock);
   measurement_avg_.resize(infos_.size());
   if (config_.retrain.enabled) {
     // Windows are not checkpointed: every pair starts empty and the
@@ -155,8 +157,8 @@ void SystemMonitor::CheckInvariants(bool deep) const {
                                      << " retired pairs exceed "
                                      << graph_.PairCount());
   if (guard_.Enabled()) {
-    PMCORR_ASSERT(guard_.HealthStates().size() == infos_.size(),
-                  "guard tracks " << guard_.HealthStates().size() << " of "
+    PMCORR_ASSERT(guard_.FeedCount() == infos_.size(),
+                  "guard tracks " << guard_.FeedCount() << " of "
                                   << infos_.size() << " measurements");
   }
   PMCORR_ASSERT(std::isfinite(system_avg_.Sum()),

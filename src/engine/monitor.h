@@ -88,13 +88,15 @@ class SystemMonitor {
                 MonitorConfig config);
 
   /// Restores a monitor from checkpointed parts (see io/monitor_io.h):
-  /// pre-built pair models (one per graph edge, same order) plus the
-  /// lifetime aggregates. Used for restart-without-relearning.
+  /// pre-built pair models (one per graph edge, same order), the
+  /// lifetime aggregates and the ingest guard's stream clock. Used for
+  /// restart-without-relearning.
   SystemMonitor(MonitorConfig config, MeasurementGraph graph,
                 std::vector<MeasurementInfo> infos,
                 std::vector<PairModel> models,
                 std::vector<ScoreAverager> measurement_averages,
-                ScoreAverager system_average, std::size_t steps);
+                ScoreAverager system_average, std::size_t steps,
+                const StreamClock& clock = {});
 
   /// Feeds one aligned sample (values[i] = measurement i) and returns the
   /// snapshot; `tp` is the sample's timestamp.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -12,7 +13,6 @@
 #include <unistd.h>
 #else
 #define PMCORR_HAVE_POSIX_IO 0
-#include <fstream>
 #endif
 
 namespace pmcorr {
@@ -184,6 +184,27 @@ void AtomicWriteFile(const std::string& path, std::string_view content) {
   }
   AtStage(path, WriteStage::kDirSync);
   SyncDirectory(DirectoryOf(path));
+}
+
+bool ReadFileBytes(const std::string& path, std::string& bytes) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return false;
+  const std::streamoff size = in.tellg();
+  if (size < 0) return false;
+  bytes.resize(static_cast<std::size_t>(size));
+  in.seekg(0);
+  in.read(bytes.data(), size);
+  return in.gcount() == size;
+}
+
+std::string ReadStreamBytes(std::istream& in) {
+  std::string bytes;
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
+    bytes.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  if (in.bad()) throw std::runtime_error("ReadStreamBytes: read failed");
+  return bytes;
 }
 
 namespace {

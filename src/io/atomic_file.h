@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -103,8 +104,15 @@ void AtomicWriteFile(const std::string& path,
 /// Convenience overload for pre-rendered content.
 void AtomicWriteFile(const std::string& path, std::string_view content);
 
+/// Reads the whole file at `path` into `bytes` with one sized read.
+/// Returns false when the file cannot be opened or read.
+bool ReadFileBytes(const std::string& path, std::string& bytes);
+
+/// Reads `in` to its end. Throws std::runtime_error on a read error.
+std::string ReadStreamBytes(std::istream& in);
+
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `bytes` —
-/// the integrity trailer of rotated monitor checkpoints and of every
+/// the integrity footer of rotated monitor checkpoints and of every
 /// wire frame. Table-driven, eight bytes per step (slicing-by-8).
 std::uint32_t Crc32(std::string_view bytes);
 

@@ -1,5 +1,6 @@
 #include "io/framing.h"
 
+#include <bit>
 #include <cstring>
 #include <ostream>
 
@@ -108,6 +109,16 @@ void WireWriter::F64(double v) {
   U64(bits);
 }
 
+void WireWriter::F64s(std::span<const double> values) {
+  if (values.empty()) return;
+  if constexpr (std::endian::native == std::endian::little) {
+    out_.append(reinterpret_cast<const char*>(values.data()),
+                values.size_bytes());
+  } else {
+    for (const double v : values) F64(v);
+  }
+}
+
 void WireWriter::Str(std::string_view s) {
   if (s.size() > 0xffff) {
     throw FramingError("WireWriter::Str: string exceeds u16 length prefix");
@@ -152,6 +163,16 @@ double WireReader::F64() {
   double v = 0.0;
   std::memcpy(&v, &bits, sizeof(v));
   return v;
+}
+
+void WireReader::F64s(std::span<double> out) {
+  if (Remaining() / sizeof(double) < out.size()) Fail("payload truncated");
+  if (out.empty()) return;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out.data(), Take(out.size_bytes()), out.size_bytes());
+  } else {
+    for (double& v : out) v = F64();
+  }
 }
 
 std::string_view WireReader::Str() { return Bytes(U16()); }

@@ -27,6 +27,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -100,6 +101,8 @@ class WireWriter {
   void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
   /// IEEE-754 bit pattern — the bitwise-exact double round-trip.
   void F64(double v);
+  /// F64 for each value in order; one memcpy on little-endian hosts.
+  void F64s(std::span<const double> values);
   /// u16 length prefix + raw bytes (names, error messages).
   void Str(std::string_view s);
   void Bytes(std::string_view s) { out_.append(s); }
@@ -123,6 +126,8 @@ class WireReader {
   std::uint64_t U64();
   std::int64_t I64() { return static_cast<std::int64_t>(U64()); }
   double F64();
+  /// Fills `out` with out.size() F64 values (the inverse of F64s).
+  void F64s(std::span<double> out);
   std::string_view Str();
   std::string_view Bytes(std::size_t n);
 

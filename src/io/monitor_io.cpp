@@ -5,19 +5,20 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
+#include <istream>
 #include <optional>
-#include <sstream>
+#include <ostream>
 #include <stdexcept>
 #include <string_view>
 
 #include "io/atomic_file.h"
+#include "io/framing.h"
 #include "io/model_io.h"
 
 namespace pmcorr {
 namespace {
 
-constexpr const char* kMagic = "pmcorr-monitor v1";
+constexpr std::string_view kMagic = "pmcorr-monitor v2\n";
 
 // Declared-size ceilings: a checkpoint names its measurement and pair
 // counts up front and the loader reserves accordingly, so corrupt values
@@ -31,54 +32,145 @@ constexpr std::size_t kMaxPairs = 1u << 20;
 // far above any sane CheckpointConfig::generations, purely a loop cap.
 constexpr std::size_t kMaxCheckpointGenerations = 32;
 
+// Fixed-size footer sealed onto file checkpoints, at a fixed offset
+// from the end:
+//   u64le body_length | u32le crc32(body) | "PMCRSEAL"
+// The CRC covers exactly the body_length bytes before the footer, so
+// bit rot and a body of the wrong length are caught before the decode
+// runs; a truncated file has lost its footer, and its decode fails on
+// the sizes the body declares.
+constexpr std::string_view kFooterMagic = "PMCRSEAL";
+constexpr std::size_t kFooterBytes = 8 + 4 + kFooterMagic.size();
+
 void WriteDouble(std::ostream& out, double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   out << buf;
 }
 
-}  // namespace
-
-void SaveSystemMonitor(const SystemMonitor& monitor, std::ostream& out) {
-  out << kMagic << "\n";
-  out << "measurements " << monitor.MeasurementCount() << "\n";
-  for (const MeasurementInfo& info : monitor.Infos()) {
-    // Display names may contain spaces in user data; ours use '@' form.
-    out << "m " << info.machine.value << " " << static_cast<int>(info.kind)
-        << " " << info.name << "\n";
-  }
-  out << "pairs " << monitor.Graph().PairCount() << "\n";
-  for (const PairId& pair : monitor.Graph().Pairs()) {
-    out << "p " << pair.a.value << " " << pair.b.value << "\n";
-  }
-  out << "aggregates " << monitor.StepCount() << " ";
-  WriteDouble(out, monitor.SystemAverage().Sum());
-  out << " " << monitor.SystemAverage().Count() << "\n";
-  for (const ScoreAverager& avg : monitor.MeasurementAverages()) {
-    out << "a ";
-    WriteDouble(out, avg.Sum());
-    out << " " << avg.Count() << "\n";
-  }
-  for (std::size_t i = 0; i < monitor.Graph().PairCount(); ++i) {
-    SavePairModel(monitor.Model(i), out);
-  }
-  if (!out) throw std::runtime_error("SaveSystemMonitor: write failed");
+[[noreturn]] void Reject(const std::string& what) {
+  throw std::runtime_error("LoadSystemMonitor: " + what);
 }
 
-namespace {
+std::string RenderMonitor(const SystemMonitor& monitor) {
+  std::string out(kMagic);
+  WireWriter w(out);
+  w.U32(static_cast<std::uint32_t>(monitor.MeasurementCount()));
+  for (const MeasurementInfo& info : monitor.Infos()) {
+    w.U32(static_cast<std::uint32_t>(info.machine.value));
+    w.U8(static_cast<std::uint8_t>(info.kind));
+    w.Str(info.name);
+  }
+  w.U32(static_cast<std::uint32_t>(monitor.Graph().PairCount()));
+  for (const PairId& pair : monitor.Graph().Pairs()) {
+    w.U32(static_cast<std::uint32_t>(pair.a.value));
+    w.U32(static_cast<std::uint32_t>(pair.b.value));
+  }
+  w.U64(monitor.StepCount());
+  w.F64(monitor.SystemAverage().Sum());
+  w.U64(monitor.SystemAverage().Count());
+  for (const ScoreAverager& avg : monitor.MeasurementAverages()) {
+    w.F64(avg.Sum());
+    w.U64(avg.Count());
+  }
+  const StreamClock clock = monitor.Health().Clock();
+  w.U8(clock.has_last ? 1 : 0);
+  w.I64(clock.last);
+  w.I64(clock.period);
+  for (std::size_t i = 0; i < monitor.Graph().PairCount(); ++i) {
+    AppendPairModelRecord(monitor.Model(i), out);
+  }
+  return out;
+}
 
-// Trailer line appended to file checkpoints:
-//   trailer crc32 <8 hex digits> bytes <content-byte-count>\n
-// The CRC covers exactly the <content-byte-count> bytes before the
-// trailer line, so truncation, torn writes and bit rot are all
-// detectable before the (expensive) full parse runs.
-constexpr const char* kTrailerTag = "trailer crc32 ";
+std::unique_ptr<SystemMonitor> DecodeMonitor(std::string_view bytes,
+                                             std::size_t threads) {
+  WireReader in(bytes, "LoadSystemMonitor");
+  if (in.Remaining() < kMagic.size() || in.Bytes(kMagic.size()) != kMagic) {
+    Reject("bad magic");
+  }
+  const std::uint32_t measurement_count = in.U32();
+  if (measurement_count > kMaxMeasurements) {
+    Reject("declared measurement count " + std::to_string(measurement_count) +
+           " exceeds limit");
+  }
+  std::vector<MeasurementInfo> infos;
+  infos.reserve(measurement_count);
+  for (std::uint32_t i = 0; i < measurement_count; ++i) {
+    const auto machine = static_cast<std::int32_t>(in.U32());
+    const std::uint8_t kind = in.U8();
+    if (machine < 0) Reject("bad machine id");
+    if (MetricKindName(static_cast<MetricKind>(kind)) == "UnknownMetric") {
+      Reject("unknown metric kind");
+    }
+    MeasurementInfo info;
+    info.id = MeasurementId(static_cast<std::int32_t>(i));
+    info.machine = MachineId(machine);
+    info.kind = static_cast<MetricKind>(kind);
+    info.name = std::string(in.Str());
+    infos.push_back(std::move(info));
+  }
 
-std::string RenderTrailer(std::string_view content) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "trailer crc32 %08x bytes %zu\n",
-                Crc32(content), content.size());
-  return buf;
+  const std::uint32_t pair_count = in.U32();
+  if (pair_count > kMaxPairs) {
+    Reject("declared pair count " + std::to_string(pair_count) +
+           " exceeds limit");
+  }
+  std::vector<PairId> pairs;
+  pairs.reserve(pair_count);
+  for (std::uint32_t i = 0; i < pair_count; ++i) {
+    const auto a = static_cast<std::int32_t>(in.U32());
+    const auto b = static_cast<std::int32_t>(in.U32());
+    pairs.emplace_back(MeasurementId(a), MeasurementId(b));
+  }
+
+  const std::uint64_t steps = in.U64();
+  const double system_sum = in.F64();
+  const std::uint64_t system_count = in.U64();
+  if (!std::isfinite(system_sum) || system_count > steps) {
+    Reject("bad aggregates");
+  }
+  std::vector<ScoreAverager> measurement_avgs;
+  measurement_avgs.reserve(measurement_count);
+  for (std::uint32_t i = 0; i < measurement_count; ++i) {
+    const double sum = in.F64();
+    const std::uint64_t count = in.U64();
+    if (!std::isfinite(sum) || count > steps) Reject("bad averager");
+    measurement_avgs.push_back(ScoreAverager::FromState(sum, count));
+  }
+
+  StreamClock clock;
+  const std::uint8_t has_last = in.U8();
+  clock.last = in.I64();
+  clock.period = in.I64();
+  if (has_last > 1 || clock.period < 0) Reject("bad stream clock");
+  clock.has_last = has_last != 0;
+
+  // No reserve: a declared count is not yet backed by records, and a
+  // PairModel is hundreds of bytes.
+  std::vector<PairModel> models;
+  for (std::uint32_t i = 0; i < pair_count; ++i) {
+    models.push_back(ReadPairModelRecord(in));
+  }
+  in.ExpectEnd();
+
+  MonitorConfig config;
+  config.threads = threads;
+  if (!models.empty()) config.model = models.front().Config();
+
+  try {
+    return std::make_unique<SystemMonitor>(
+        config,
+        MeasurementGraph::FromPairs(measurement_count, std::move(pairs)),
+        std::move(infos), std::move(models), std::move(measurement_avgs),
+        ScoreAverager::FromState(system_sum, system_count), steps, clock);
+  } catch (const std::invalid_argument& error) {
+    // FromPairs rejects self/duplicate/out-of-range pairs and the
+    // monitor constructor rejects inconsistent part counts with
+    // invalid_argument; a corrupt checkpoint must surface as this
+    // loader's documented error type instead.
+    Reject(error.what());
+  }
 }
 
 std::string GenerationPath(const std::string& path, std::size_t generation) {
@@ -86,59 +178,49 @@ std::string GenerationPath(const std::string& path, std::size_t generation) {
   return path + ".g" + std::to_string(generation);
 }
 
-bool ReadFileBytes(const std::string& path, std::string& bytes) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  bytes = std::move(buffer).str();
-  return static_cast<bool>(in);
-}
-
 }  // namespace
 
-std::string_view VerifyCheckpointTrailer(std::string_view bytes) {
-  // The trailer is the final newline-terminated line; find it without
-  // assuming anything about the (possibly corrupt) content above it.
-  if (bytes.empty() || bytes.back() != '\n') return bytes;
-  const std::size_t prev_newline = bytes.find_last_of('\n', bytes.size() - 2);
-  const std::size_t line_start =
-      prev_newline == std::string_view::npos ? 0 : prev_newline + 1;
-  const std::string_view line =
-      bytes.substr(line_start, bytes.size() - 1 - line_start);
-  if (!line.starts_with(kTrailerTag)) return bytes;  // legacy: no trailer
+void SaveSystemMonitor(const SystemMonitor& monitor, std::ostream& out) {
+  const std::string bytes = RenderMonitor(monitor);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (!out) throw std::runtime_error("SaveSystemMonitor: write failed");
+}
 
-  std::uint32_t crc = 0;
-  std::size_t declared = 0;
-  char extra = 0;
-  if (std::sscanf(std::string(line).c_str(), "trailer crc32 %x bytes %zu%c",
-                  &crc, &declared, &extra) != 2) {
-    throw std::runtime_error("checkpoint trailer is malformed");
+std::string_view VerifyCheckpointTrailer(std::string_view bytes) {
+  if (bytes.size() < kFooterBytes || !bytes.ends_with(kFooterMagic)) {
+    return bytes;  // no footer: an unsealed stream rendering
   }
-  if (declared != line_start) {
+  const std::size_t body_length = bytes.size() - kFooterBytes;
+  WireReader footer(bytes.substr(body_length, 12), "checkpoint footer");
+  const std::uint64_t declared = footer.U64();
+  const std::uint32_t crc = footer.U32();
+  if (declared != body_length) {
     throw std::runtime_error(
-        "checkpoint trailer length mismatch: trailer covers " +
+        "checkpoint footer length mismatch: footer covers " +
         std::to_string(declared) + " bytes, file holds " +
-        std::to_string(line_start));
+        std::to_string(body_length));
   }
-  const std::string_view content = bytes.substr(0, line_start);
-  const std::uint32_t actual = Crc32(content);
+  const std::string_view body = bytes.substr(0, body_length);
+  const std::uint32_t actual = Crc32(body);
   if (actual != crc) {
     char expect[16], got[16];
     std::snprintf(expect, sizeof(expect), "%08x", crc);
     std::snprintf(got, sizeof(got), "%08x", actual);
-    throw std::runtime_error(std::string("checkpoint CRC mismatch: trailer ") +
+    throw std::runtime_error(std::string("checkpoint CRC mismatch: footer ") +
                              expect + ", content " + got);
   }
-  return content;
+  return body;
 }
 
 void SaveSystemMonitor(const SystemMonitor& monitor, const std::string& path,
                        const CheckpointConfig& config) {
-  std::ostringstream content;
-  SaveSystemMonitor(monitor, content);
-  std::string bytes = std::move(content).str();
-  bytes += RenderTrailer(bytes);
+  std::string bytes = RenderMonitor(monitor);
+  const std::uint64_t body_length = bytes.size();
+  const std::uint32_t crc = Crc32(bytes);
+  WireWriter footer(bytes);
+  footer.U64(body_length);
+  footer.U32(crc);
+  footer.Bytes(kFooterMagic);
 
   // Rotate generations oldest-first: g -> g+1, dropping the oldest.
   // Each shift is a single rename (atomic), so a crash anywhere in the
@@ -160,115 +242,15 @@ void SaveSystemMonitor(const SystemMonitor& monitor,
 
 std::unique_ptr<SystemMonitor> LoadSystemMonitor(std::istream& in,
                                                  std::size_t threads) {
-  std::string line;
-  if (!std::getline(in, line) || line != kMagic) {
-    throw std::runtime_error("LoadSystemMonitor: bad magic");
-  }
-
-  std::string tag;
-  std::size_t measurement_count = 0;
-  if (!(in >> tag >> measurement_count) || tag != "measurements") {
-    throw std::runtime_error("LoadSystemMonitor: bad measurements header");
-  }
-  if (measurement_count > kMaxMeasurements) {
-    throw std::runtime_error("LoadSystemMonitor: declared measurement count " +
-                             std::to_string(measurement_count) +
-                             " exceeds limit");
-  }
-  std::vector<MeasurementInfo> infos;
-  infos.reserve(measurement_count);
-  for (std::size_t i = 0; i < measurement_count; ++i) {
-    int machine = 0, kind = 0;
-    std::string name;
-    if (!(in >> tag >> machine >> kind >> name) || tag != "m") {
-      throw std::runtime_error("LoadSystemMonitor: bad measurement line");
-    }
-    if (machine < 0) {
-      throw std::runtime_error("LoadSystemMonitor: bad machine id");
-    }
-    if (kind < 0 ||
-        MetricKindName(static_cast<MetricKind>(kind)) == "UnknownMetric") {
-      throw std::runtime_error("LoadSystemMonitor: unknown metric kind");
-    }
-    MeasurementInfo info;
-    info.id = MeasurementId(static_cast<std::int32_t>(i));
-    info.machine = MachineId(machine);
-    info.kind = static_cast<MetricKind>(kind);
-    info.name = std::move(name);
-    infos.push_back(std::move(info));
-  }
-
-  std::size_t pair_count = 0;
-  if (!(in >> tag >> pair_count) || tag != "pairs") {
-    throw std::runtime_error("LoadSystemMonitor: bad pairs header");
-  }
-  if (pair_count > kMaxPairs) {
-    throw std::runtime_error("LoadSystemMonitor: declared pair count " +
-                             std::to_string(pair_count) + " exceeds limit");
-  }
-  std::vector<PairId> pairs;
-  pairs.reserve(pair_count);
-  for (std::size_t i = 0; i < pair_count; ++i) {
-    int a = 0, b = 0;
-    if (!(in >> tag >> a >> b) || tag != "p") {
-      throw std::runtime_error("LoadSystemMonitor: bad pair line");
-    }
-    pairs.emplace_back(MeasurementId(a), MeasurementId(b));
-  }
-
-  std::size_t steps = 0;
-  double system_sum = 0.0;
-  std::size_t system_count = 0;
-  if (!(in >> tag >> steps >> system_sum >> system_count) ||
-      tag != "aggregates" || !std::isfinite(system_sum) ||
-      system_count > steps) {
-    throw std::runtime_error("LoadSystemMonitor: bad aggregates line");
-  }
-  std::vector<ScoreAverager> measurement_avgs;
-  measurement_avgs.reserve(measurement_count);
-  for (std::size_t i = 0; i < measurement_count; ++i) {
-    double sum = 0.0;
-    std::size_t count = 0;
-    if (!(in >> tag >> sum >> count) || tag != "a" || !std::isfinite(sum) ||
-        count > steps) {
-      throw std::runtime_error("LoadSystemMonitor: bad averager line");
-    }
-    measurement_avgs.push_back(ScoreAverager::FromState(sum, count));
-  }
-  in >> std::ws;  // move to the first model's magic line
-
-  std::vector<PairModel> models;
-  models.reserve(pair_count);
-  for (std::size_t i = 0; i < pair_count; ++i) {
-    models.push_back(LoadPairModel(in));
-    in >> std::ws;
-  }
-
-  MonitorConfig config;
-  config.threads = threads;
-  if (!models.empty()) config.model = models.front().Config();
-
-  try {
-    return std::make_unique<SystemMonitor>(
-        config,
-        MeasurementGraph::FromPairs(measurement_count, std::move(pairs)),
-        std::move(infos), std::move(models), std::move(measurement_avgs),
-        ScoreAverager::FromState(system_sum, system_count), steps);
-  } catch (const std::invalid_argument& error) {
-    // FromPairs rejects self/duplicate/out-of-range pairs and the
-    // monitor constructor rejects inconsistent part counts with
-    // invalid_argument; a corrupt checkpoint must surface as this
-    // loader's documented error type instead.
-    throw std::runtime_error(std::string("LoadSystemMonitor: ") +
-                             error.what());
-  }
+  const std::string bytes = ReadStreamBytes(in);
+  return DecodeMonitor(VerifyCheckpointTrailer(bytes), threads);
 }
 
 std::unique_ptr<SystemMonitor> LoadSystemMonitor(
     const std::string& path, std::size_t threads,
     CheckpointRecoveryInfo* recovery) {
   // Probe generations newest-first; the first one that passes both the
-  // CRC trailer check and full load-time validation wins. The probe
+  // CRC footer check and full load-time validation wins. The probe
   // stops at the first missing slot past generation 1 (rotation never
   // leaves holes beyond a single in-flight shift).
   std::vector<std::string> rejected;
@@ -283,9 +265,7 @@ std::unique_ptr<SystemMonitor> LoadSystemMonitor(
     }
     missing_run = 0;
     try {
-      const std::string_view content = VerifyCheckpointTrailer(bytes);
-      std::istringstream in{std::string(content)};
-      auto monitor = LoadSystemMonitor(in, threads);
+      auto monitor = DecodeMonitor(VerifyCheckpointTrailer(bytes), threads);
       if (recovery) {
         recovery->loaded_path = candidate;
         recovery->generation = g;

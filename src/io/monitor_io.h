@@ -2,6 +2,21 @@
 // models plus the lifetime score aggregates, so a monitoring agent can
 // restart without relearning from history (the paper's models take
 // seconds to learn per pair; a production fleet carries hundreds).
+//
+// Binary, on the WireWriter/WireReader codec (io/framing.h), with no
+// frames around it (one pair's evidence can exceed kMaxFramePayload):
+//
+//   body := "pmcorr-monitor v2\n"
+//           | u32 measurements | measurements x (u32 machine | u8 kind
+//             | u16-prefixed name)
+//           | u32 pairs | pairs x (u32 a | u32 b)
+//           | u64 steps | f64 system_sum | u64 system_count
+//           | measurements x (f64 sum | u64 count)
+//           | u8 has_last | i64 last_time | i64 period   (ingest guard)
+//           | pairs x pair record (io/model_io.h)
+//
+// A file checkpoint is the body followed by a fixed 20-byte footer:
+//   u64 body_length | u32 crc32(body) | "PMCRSEAL"
 #pragma once
 
 #include <iosfwd>
@@ -14,9 +29,10 @@
 
 namespace pmcorr {
 
-/// Serializes the monitor: measurement infos, graph edges, per-pair
-/// models (via the PairModel format of model_io), and the lifetime
-/// aggregates. Throws std::runtime_error on I/O failure.
+/// Serializes the monitor body: measurement infos, graph edges, the
+/// lifetime aggregates, the ingest guard's stream clock and the per-pair
+/// records of model_io (each with its previous cell). Throws
+/// std::runtime_error on I/O failure.
 void SaveSystemMonitor(const SystemMonitor& monitor, std::ostream& out);
 
 /// On-disk checkpoint policy: how many last-good generations to keep.
@@ -27,8 +43,8 @@ struct CheckpointConfig {
   std::size_t generations = 2;
 };
 
-/// Crash-safe file checkpoint: renders the monitor with a CRC-32
-/// trailer line, rotates the existing generations, and replaces `path`
+/// Crash-safe file checkpoint: renders the monitor body plus its CRC-32
+/// footer, rotates the existing generations, and replaces `path`
 /// via write-to-temp + fsync + atomic rename (io/atomic_file.h). A
 /// crash at any point leaves at least one complete, validated prior
 /// generation recoverable by the path-based loader below. Throws
@@ -50,28 +66,36 @@ struct CheckpointRecoveryInfo {
   std::vector<std::string> rejected;
 };
 
-/// Restores a monitor saved by SaveSystemMonitor. Worker-thread count is
+/// Restores a monitor saved by SaveSystemMonitor (a stream rendering,
+/// or a sealed file, whose footer is verified and stripped). The
+/// restored monitor resumes where the saved one stopped: every pair
+/// keeps its previous cell and the ingest guard its stream clock, so
+/// the next on-cadence row scores as it would have without the restart
+/// and a late one still breaks the sequences. Worker-thread count is
 /// taken from `threads` (0 = hardware concurrency) since it is a property
 /// of the host, not of the model state. Throws std::runtime_error on
-/// malformed input.
+/// malformed input, including bytes after the last pair record.
 std::unique_ptr<SystemMonitor> LoadSystemMonitor(std::istream& in,
                                                  std::size_t threads = 0);
 
 /// Path-based load with generation fallback: tries `path`, then
 /// `path.g1`, `path.g2`, ... and returns the newest generation that
-/// passes both the CRC trailer check and full load-time validation.
-/// Files without a trailer (pre-rotation checkpoints) are accepted when
-/// they validate. Throws std::runtime_error only when every generation
-/// is missing or corrupt (the message lists each rejection).
+/// passes both the CRC footer check and full load-time validation. The
+/// file is read once into a sized buffer and decoded in place. Files
+/// without a footer (stream renderings) are accepted when they
+/// validate; a text checkpoint of the old format fails on its magic.
+/// Throws std::runtime_error only when every generation is missing or
+/// corrupt (the message lists each rejection).
 std::unique_ptr<SystemMonitor> LoadSystemMonitor(
     const std::string& path, std::size_t threads = 0,
     CheckpointRecoveryInfo* recovery = nullptr);
 
-/// Verifies and strips the checkpoint's CRC trailer line, returning the
-/// content it covers. Bytes without a trailer are returned unchanged
-/// (legacy checkpoints); a present-but-wrong trailer (bad CRC, bad
-/// length, truncation) throws std::runtime_error. Exposed for the fuzz
-/// harness, which drives it on arbitrary bytes.
+/// Verifies and strips the checkpoint's CRC footer, returning the body
+/// it covers. Bytes that do not end in the footer magic are returned
+/// unchanged (an unsealed stream rendering, or a truncated file whose
+/// decode then fails); a present-but-wrong footer (bad CRC, a length
+/// that disagrees with the body) throws std::runtime_error. Exposed for
+/// the fuzz harness, which drives it on arbitrary bytes.
 std::string_view VerifyCheckpointTrailer(std::string_view bytes);
 
 /// Writes the full-detail snapshot stream as JSONL, one line per sample:

@@ -16,6 +16,7 @@
 #include <string_view>
 #include <vector>
 
+#include "checkpoint_records.h"
 #include "common/rng.h"
 #include "differential_util.h"
 #include "io/atomic_file.h"
@@ -54,7 +55,7 @@ MonitorConfig SmallConfig() {
   return config;
 }
 
-// Stream-format render (no trailer): the state fingerprint two monitors
+// Stream-format render (no footer): the state fingerprint two monitors
 // are compared by.
 std::string Render(const SystemMonitor& monitor) {
   return difftest::CheckpointString(monitor);
@@ -142,7 +143,7 @@ TEST(CheckpointRecovery, CorruptPrimaryFallsBackToOlderGeneration) {
   monitor.Run(SystemFrame(10, 7));
   SaveSystemMonitor(monitor, path);
 
-  // Bit rot in the primary: the CRC trailer catches it and the loader
+  // Bit rot in the primary: the CRC footer catches it and the loader
   // falls back.
   {
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
@@ -155,7 +156,7 @@ TEST(CheckpointRecovery, CorruptPrimaryFallsBackToOlderGeneration) {
   ASSERT_EQ(info.rejected.size(), 1u);
   EXPECT_NE(info.rejected[0].find("CRC mismatch"), std::string::npos);
 
-  // Truncation (a torn copy without its trailer): rejected by the parse,
+  // Truncation (a torn copy without its footer): rejected by the parse,
   // same fallback. Fresh directory so the corrupted file above is not
   // sitting in the fallback slot.
   dir.Clear();
@@ -170,30 +171,59 @@ TEST(CheckpointRecovery, CorruptPrimaryFallsBackToOlderGeneration) {
 }
 
 TEST(CheckpointRecovery, TrailerVerifierAcceptsStripsAndRejects) {
-  const std::string content = "pmcorr-monitor v1\nnot really\n";
-  char trailer[64];
-  std::snprintf(trailer, sizeof(trailer), "trailer crc32 %08x bytes %zu\n",
-                Crc32(content), content.size());
-  const std::string with_trailer = content + trailer;
-  EXPECT_EQ(VerifyCheckpointTrailer(with_trailer), content);
+  const std::string content = "pmcorr-monitor v2\nnot really\n";
+  const std::string sealed =
+      content + ckpt::Footer(content.size(), Crc32(content));
+  EXPECT_EQ(VerifyCheckpointTrailer(sealed), content);
 
-  // Legacy bytes without a trailer pass through unchanged.
+  // Bytes without a footer pass through unchanged.
   EXPECT_EQ(VerifyCheckpointTrailer(content), content);
   EXPECT_EQ(VerifyCheckpointTrailer(""), "");
+  // An empty body sealed is still a footer.
+  EXPECT_EQ(VerifyCheckpointTrailer(ckpt::Footer(0, Crc32(""))), "");
 
   // Wrong CRC.
-  std::snprintf(trailer, sizeof(trailer), "trailer crc32 %08x bytes %zu\n",
-                Crc32(content) ^ 1u, content.size());
-  EXPECT_THROW(VerifyCheckpointTrailer(content + trailer),
+  EXPECT_THROW(VerifyCheckpointTrailer(
+                   content + ckpt::Footer(content.size(),
+                                          Crc32(content) ^ 1u)),
                std::runtime_error);
-  // Wrong length (trailer from a longer file: truncation).
-  std::snprintf(trailer, sizeof(trailer), "trailer crc32 %08x bytes %zu\n",
-                Crc32(content), content.size() + 17);
-  EXPECT_THROW(VerifyCheckpointTrailer(content + trailer),
+  // Bit rot in the body.
+  std::string rotten = sealed;
+  rotten[3] ^= 0x10;
+  EXPECT_THROW(VerifyCheckpointTrailer(rotten), std::runtime_error);
+}
+
+TEST(CheckpointRecovery, FooterLengthDisagreeingWithTheBodyRejected) {
+  const std::string content = "pmcorr-monitor v2\nnot really\n";
+  // A footer from a longer body (the file lost bytes in the middle).
+  try {
+    (void)VerifyCheckpointTrailer(
+        content + ckpt::Footer(content.size() + 17, Crc32(content)));
+    ADD_FAILURE() << "accepted a footer that covers 17 missing bytes";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("length mismatch"),
+              std::string::npos)
+        << error.what();
+  }
+  // And from a shorter one.
+  EXPECT_THROW(VerifyCheckpointTrailer(
+                   content + ckpt::Footer(content.size() - 1,
+                                          Crc32(content))),
                std::runtime_error);
-  // Malformed trailer line.
-  EXPECT_THROW(VerifyCheckpointTrailer(content + "trailer crc32 zzz\n"),
-               std::runtime_error);
+}
+
+TEST(CheckpointRecovery, DamagedFooterMagicLeavesBytesTheLoaderRejects) {
+  // A footer whose magic lost a bit is no footer: the bytes pass
+  // through whole, and the decode then fails on the 20 bytes trailing
+  // the last pair record.
+  const MeasurementFrame history = SystemFrame(300, 41);
+  SystemMonitor monitor(history, MeasurementGraph::FullMesh(4),
+                        SmallConfig());
+  const std::string body = Render(monitor);
+  std::string sealed = body + ckpt::Footer(body.size(), Crc32(body));
+  sealed.back() ^= 0x01;
+  EXPECT_EQ(VerifyCheckpointTrailer(sealed), sealed);
+  EXPECT_THROW(FromString(sealed), std::runtime_error);
 }
 
 // The table-less bitwise CRC-32 the table-driven Crc32 replaced: one

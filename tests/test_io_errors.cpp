@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "checkpoint_records.h"
 #include "common/rng.h"
 #include "io/csv.h"
 #include "io/model_io.h"
@@ -36,11 +37,13 @@ PairModel TrainedModel() {
   return PairModel::Learn(xs, ys, config);
 }
 
-std::string SavedModelText() {
+std::string SavedModelBytes() {
   std::ostringstream out;
   SavePairModel(TrainedModel(), out);
   return out.str();
 }
+
+ckpt::PairRecord SavedRecord() { return ckpt::PairRecord::Of(TrainedModel()); }
 
 // Replaces the first occurrence of `from` in `text`.
 std::string Replace(std::string text, const std::string& from,
@@ -51,160 +54,332 @@ std::string Replace(std::string text, const std::string& from,
   return text;
 }
 
-void ExpectLoadModelThrows(const std::string& text) {
-  std::istringstream in(text);
-  EXPECT_THROW((void)LoadPairModel(in), std::runtime_error) << text.substr(
-      0, 120);
+// Expects a std::runtime_error whose message names `reason`.
+template <typename Load>
+void ExpectRejected(Load load, const std::string& reason) {
+  try {
+    load();
+    ADD_FAILURE() << "loaded; expected a rejection naming '" << reason << "'";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(reason), std::string::npos)
+        << error.what();
+  }
+}
+
+void ExpectLoadModelThrows(const std::string& bytes,
+                           const std::string& reason = "") {
+  std::istringstream in(bytes);
+  ExpectRejected([&] { (void)LoadPairModel(in); }, reason);
+}
+
+void ExpectLoadModelThrows(const ckpt::PairRecord& record,
+                           const std::string& reason) {
+  ExpectLoadModelThrows(record.File(), reason);
 }
 
 // ---------------------------------------------------------------------
 // LoadPairModel.
 
 TEST(ModelIoErrors, ValidFileStillLoads) {
-  std::istringstream in(SavedModelText());
+  std::istringstream in(SavedModelBytes());
   EXPECT_NO_THROW((void)LoadPairModel(in));
+  // The record mirror encodes the same bytes, so every mutation below
+  // differs from a loadable file in its one field only.
+  EXPECT_EQ(SavedRecord().File(), SavedModelBytes());
 }
 
 TEST(ModelIoErrors, EveryTruncationFailsCleanly) {
-  const std::string text = SavedModelText();
-  // Every proper prefix is missing data (redundant totals catch even a
-  // truncated final count token), so each must throw, not crash. Step
-  // through the file with a stride plus the boundary cases.
-  for (std::size_t len = 0; len + 2 <= text.size(); len += 13) {
-    ExpectLoadModelThrows(text.substr(0, len));
+  const std::string bytes = SavedModelBytes();
+  // Every proper prefix is missing data (the declared sizes and the
+  // redundant count total catch every cut), so each must throw, not
+  // crash.
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    ExpectLoadModelThrows(bytes.substr(0, len));
   }
-  ExpectLoadModelThrows(text.substr(0, text.size() / 2));
-  ExpectLoadModelThrows(text.substr(0, text.size() - 2));
+}
+
+TEST(ModelIoErrors, TrailingBytesRejected) {
+  ExpectLoadModelThrows(SavedModelBytes() + '\0');
 }
 
 TEST(ModelIoErrors, HugeDeclaredIntervalCountRejectedBeforeAllocation) {
-  // 10^15 declared intervals would be petabytes; the loader must refuse
-  // the count itself rather than attempt the allocation.
-  const std::string text =
-      "pmcorr-model v1\n"
-      "kernel 0 2 2\n"
-      "params 3 3 0 0 1 1 1\n"
-      "ravg 1 1\n"
-      "dim1 1000000000000000 0 1\n";
-  ExpectLoadModelThrows(text);
+  // 10^9 declared intervals would be 8 GB of edges; the loader must
+  // refuse the count itself rather than attempt the allocation.
+  std::string bytes(ckpt::kModelMagic);
+  SavedRecord().EncodeHead(bytes);
+  WireWriter(bytes).U32(1000000000u);
+  ExpectLoadModelThrows(bytes, "declared interval count");
 }
 
 TEST(ModelIoErrors, HugeDeclaredGridShapeRejected) {
   // Both dimensions individually under the per-dimension cap, but the
   // product (cells^2 evidence doubles) would be enormous.
-  std::ostringstream out;
-  out << "pmcorr-model v1\nkernel 0 2 2\nparams 3 3 0 0 1 1 1\nravg 1 1\n";
-  for (const char* tag : {"dim1", "dim2"}) {
-    out << tag << " 1000";
-    for (int i = 0; i <= 1000; ++i) out << " " << i;
-    out << "\n";
-  }
-  out << "matrix 1000000 0\nevidence 0\ncounts 0\n";
-  ExpectLoadModelThrows(out.str());
+  ckpt::PairRecord record = SavedRecord();
+  record.edges1.clear();
+  for (int i = 0; i <= 1000; ++i) record.edges1.push_back(i);
+  record.edges2 = record.edges1;
+  record.rows.clear();
+  record.observed = 0;
+  record.prev_cell = ckpt::kNoCell;
+  ExpectLoadModelThrows(record, "declared grid shape");
 }
 
 TEST(ModelIoErrors, NonFiniteFieldsRejected) {
-  const std::string text = SavedModelText();
-  // Whatever numeric token the parser sees for these fields, NaN/Inf
-  // must surface as a parse error.
-  ExpectLoadModelThrows(Replace(text, "ravg ", "ravg nan "));
-  ExpectLoadModelThrows(Replace(text, "dim1 ", "dim1 inf "));
-  ExpectLoadModelThrows(Replace(text, "evidence ", "evidence nan "));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ckpt::PairRecord record = SavedRecord();
+  record.r1 = nan;
+  ExpectLoadModelThrows(record, "bad initial average widths");
+  record = SavedRecord();
+  record.edges1.front() = -inf;
+  ExpectLoadModelThrows(record, "bad interval edge");
+  record = SavedRecord();
+  ASSERT_FALSE(record.rows.empty());
+  record.rows.front().evidence.front() = nan;
+  ExpectLoadModelThrows(record, "bad evidence entry");
 }
 
 TEST(ModelIoErrors, NonIncreasingEdgesRejected) {
-  const std::string good =
-      "pmcorr-model v1\nkernel 0 2 2\nparams 3 3 0 0 1 1 1\nravg 1 1\n";
-  ExpectLoadModelThrows(good + "dim1 2 0 0 2\n");   // zero-width
-  ExpectLoadModelThrows(good + "dim1 2 0 -1 2\n");  // decreasing
+  ckpt::PairRecord record = SavedRecord();
+  record.edges1[1] = record.edges1[0];  // zero-width
+  ExpectLoadModelThrows(record, "non-increasing edges");
+  record = SavedRecord();
+  record.edges1[1] = record.edges1[0] - 1.0;  // decreasing
+  ExpectLoadModelThrows(record, "non-increasing edges");
 }
 
 TEST(ModelIoErrors, OutOfRangeParamsRejected) {
-  const std::string text = SavedModelText();
-  ExpectLoadModelThrows(Replace(text, "params ", "params -1 "));
-  // forgetting is the 5th value; easiest to rewrite the whole line.
-  std::istringstream in(text);
-  std::string line, rebuilt;
-  while (std::getline(in, line)) {
-    if (line.rfind("params ", 0) == 0) line = "params 3 3 0 0 2 1 1";
-    rebuilt += line + "\n";
-  }
-  ExpectLoadModelThrows(rebuilt);
+  ckpt::PairRecord record = SavedRecord();
+  record.lambda1 = -1.0;
+  ExpectLoadModelThrows(record, "params out of range");
+  record = SavedRecord();
+  record.forgetting = 2.0;
+  ExpectLoadModelThrows(record, "params out of range");
+  record = SavedRecord();
+  record.adaptive = 2;
+  ExpectLoadModelThrows(record, "params out of range");
 }
 
 TEST(ModelIoErrors, UnknownKernelAndMetricRejected) {
-  const std::string text = SavedModelText();
-  ExpectLoadModelThrows(Replace(text, "kernel 0 ", "kernel 9 "));
-  ExpectLoadModelThrows(Replace(text, "kernel 0 2 2", "kernel 0 2 7"));
+  ckpt::PairRecord record = SavedRecord();
+  record.kernel = 9;
+  ExpectLoadModelThrows(record, "unknown kernel type");
+  record = SavedRecord();
+  record.metric = 7;
+  ExpectLoadModelThrows(record, "unknown cell metric");
   // Exponential kernels additionally need w > 1.
-  ExpectLoadModelThrows(Replace(text, "kernel 0 2 ", "kernel 1 0.5 "));
+  record = SavedRecord();
+  record.kernel = 1;
+  record.w = 0.5;
+  ExpectLoadModelThrows(record, "exponential kernel needs w > 1");
 }
 
 TEST(ModelIoErrors, PositiveEvidenceRejected) {
-  ExpectLoadModelThrows(Replace(SavedModelText(), "evidence ",
-                                "evidence 0.25 "));
+  ckpt::PairRecord record = SavedRecord();
+  ASSERT_FALSE(record.rows.empty());
+  record.rows.front().evidence.back() = 0.25;
+  ExpectLoadModelThrows(record, "bad evidence entry");
 }
 
 TEST(ModelIoErrors, CountSumMismatchRejected) {
-  // Bump the declared observed total: the counts section no longer sums
-  // to it, and the loader must notice rather than restore corrupt state.
-  const std::string text = SavedModelText();
-  const std::size_t pos = text.find("matrix ");
-  ASSERT_NE(pos, std::string::npos);
-  const std::size_t sp = text.find(' ', pos + 7);  // after cell count
-  ASSERT_NE(sp, std::string::npos);
-  std::string mutated = text;
-  mutated.insert(sp + 1, "9");  // observed := 9 * 10^k + observed
-  ExpectLoadModelThrows(mutated);
+  // Bump the declared observed total: the counts no longer sum to it,
+  // and the loader must notice rather than restore corrupt state.
+  ckpt::PairRecord record = SavedRecord();
+  record.observed += 9;
+  ExpectLoadModelThrows(record, "counts sum to");
+  // Or drop one count: same mismatch from the other side.
+  record = SavedRecord();
+  for (ckpt::RowRecord& row : record.rows) {
+    if (!row.counts.empty()) {
+      row.counts.pop_back();
+      break;
+    }
+  }
+  ExpectLoadModelThrows(record, "counts sum to");
+}
+
+TEST(ModelIoErrors, RowIndexOutOfRangeRejected) {
+  ckpt::PairRecord record = SavedRecord();
+  record.rows.back().index = static_cast<std::uint32_t>(record.Cells());
+  ExpectLoadModelThrows(record, "row index");
+}
+
+TEST(ModelIoErrors, RowIndicesNotStrictlyIncreasingRejected) {
+  ckpt::PairRecord record = SavedRecord();
+  ASSERT_GE(record.rows.size(), 2u);
+  std::swap(record.rows[0], record.rows[1]);
+  ExpectLoadModelThrows(record, "row index");
+  record = SavedRecord();
+  record.rows[1].index = record.rows[0].index;  // duplicate
+  ExpectLoadModelThrows(record, "row index");
+}
+
+TEST(ModelIoErrors, CountColumnOutOfRangeRejected) {
+  ckpt::PairRecord record = SavedRecord();
+  for (ckpt::RowRecord& row : record.rows) {
+    if (!row.counts.empty()) {
+      row.counts.back().first = static_cast<std::uint32_t>(record.Cells());
+      break;
+    }
+  }
+  ExpectLoadModelThrows(record, "count column");
+}
+
+TEST(ModelIoErrors, CountColumnsNotStrictlyIncreasingRejected) {
+  ckpt::PairRecord record = SavedRecord();
+  bool mutated = false;
+  for (ckpt::RowRecord& row : record.rows) {
+    if (row.counts.size() >= 2) {
+      row.counts[1].first = row.counts[0].first;  // duplicate column
+      mutated = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(mutated);
+  ExpectLoadModelThrows(record, "count column");
+}
+
+// The loader accepts exactly the encoder's canonical form: listed
+// counts are non-zero and every stored row holds some state.
+TEST(ModelIoErrors, ListedZeroCountRejected) {
+  ckpt::PairRecord record = SavedRecord();
+  for (ckpt::RowRecord& row : record.rows) {
+    if (!row.counts.empty()) {
+      record.observed -= row.counts.back().second;
+      row.counts.back().second = 0;
+      break;
+    }
+  }
+  ExpectLoadModelThrows(record, "zero count listed");
+}
+
+TEST(ModelIoErrors, StoredRowWithoutStateRejected) {
+  ckpt::PairRecord record = SavedRecord();
+  // The first row index the record leaves out (rows are sorted).
+  std::uint32_t empty = 0;
+  while (empty < record.rows.size() && record.rows[empty].index == empty) {
+    ++empty;
+  }
+  ASSERT_LT(empty, record.Cells()) << "every row holds state";
+  ckpt::RowRecord blank;
+  blank.index = empty;
+  blank.evidence.assign(record.Cells(), 0.0);
+  record.rows.insert(record.rows.begin() + empty, blank);
+  ExpectLoadModelThrows(record, "holds no state");
+}
+
+TEST(ModelIoErrors, PreviousCellOutsideGridRejected) {
+  ckpt::PairRecord record = SavedRecord();
+  record.prev_cell = static_cast<std::uint32_t>(record.Cells());
+  ExpectLoadModelThrows(record, "previous cell");
 }
 
 // ---------------------------------------------------------------------
 // LoadSystemMonitor.
 
+MeasurementFrame TwoSeriesFrame(std::size_t samples) {
+  MeasurementFrame frame(0, 60);
+  for (int c = 0; c < 2; ++c) {
+    std::vector<double> values(samples);
+    for (std::size_t i = 0; i < samples; ++i) {
+      values[i] = 50.0 + 20.0 * std::sin(0.05 * static_cast<double>(i) + c);
+    }
+    MeasurementInfo info;
+    info.machine = MachineId(c);
+    info.name = "cpu@" + std::to_string(c);
+    frame.Add(info, TimeSeries(0, 60, std::move(values)));
+  }
+  return frame;
+}
+
+std::unique_ptr<SystemMonitor> SavedMonitor() {
+  MonitorConfig config;
+  config.model.partition.units = 20;
+  config.model.partition.max_intervals = 5;
+  config.threads = 1;
+  auto monitor = std::make_unique<SystemMonitor>(
+      TwoSeriesFrame(300), MeasurementGraph::FullMesh(2), config);
+  monitor->Run(TwoSeriesFrame(20));
+  return monitor;
+}
+
+ckpt::MonitorRecord SavedMonitorRecord() {
+  return ckpt::MonitorRecord::Of(*SavedMonitor());
+}
+
+void ExpectLoadMonitorThrows(const std::string& bytes,
+                             const std::string& reason) {
+  std::istringstream in(bytes);
+  ExpectRejected([&] { (void)LoadSystemMonitor(in); }, reason);
+}
+
+TEST(MonitorIoErrors, ValidCheckpointStillLoads) {
+  std::ostringstream saved;
+  SaveSystemMonitor(*SavedMonitor(), saved);
+  EXPECT_EQ(SavedMonitorRecord().Encode(), saved.str());
+  std::istringstream in(saved.str());
+  EXPECT_NO_THROW((void)LoadSystemMonitor(in));
+}
+
 TEST(MonitorIoErrors, HugeDeclaredCountsRejected) {
-  std::istringstream a("pmcorr-monitor v1\nmeasurements 99999999999\n");
-  EXPECT_THROW((void)LoadSystemMonitor(a), std::runtime_error);
-  std::istringstream b(
-      "pmcorr-monitor v1\nmeasurements 0\npairs 99999999999\n");
-  EXPECT_THROW((void)LoadSystemMonitor(b), std::runtime_error);
+  std::string measurements(ckpt::kMonitorMagic);
+  WireWriter(measurements).U32(0xFFFFFFFFu);
+  ExpectLoadMonitorThrows(measurements, "declared measurement count");
+  std::string pairs(ckpt::kMonitorMagic);
+  WireWriter(pairs).U32(0);
+  WireWriter(pairs).U32(0xFFFFFFFFu);
+  ExpectLoadMonitorThrows(pairs, "declared pair count");
 }
 
 TEST(MonitorIoErrors, CorruptPairListRejectedAsRuntimeError) {
   // Fuzzer find: self-pairs / out-of-range pairs used to escape as
   // std::invalid_argument from MeasurementGraph::FromPairs, breaking
   // the loader's "malformed input => std::runtime_error" contract.
-  const std::string model = SavedModelText();
-  for (const char* pair_line : {"p 0 0", "p 0 7", "p -3 1", "p 1 0"}) {
-    // Fully well-formed checkpoint except for the second pair: the
-    // loader reaches graph construction and must translate its
-    // rejection, not leak it.
-    std::istringstream in(
-        std::string("pmcorr-monitor v1\nmeasurements 2\n"
-                    "m 0 0 cpu@a\nm 0 0 cpu@b\npairs 2\np 0 1\n") +
-        pair_line + "\naggregates 0 0 0\na 0 0\na 0 0\n" + model + model);
-    EXPECT_THROW((void)LoadSystemMonitor(in), std::runtime_error)
-        << pair_line;
+  // Fully well-formed checkpoints except for the second pair: the
+  // loader reaches graph construction and must translate its
+  // rejection, not leak it.
+  ckpt::MonitorRecord record = SavedMonitorRecord();
+  ASSERT_EQ(record.pairs.size(), 1u);
+  record.pairs.push_back(record.pairs.front());
+  record.models.push_back(record.models.front());
+  for (const auto& bad : std::vector<std::pair<std::uint32_t, std::uint32_t>>{
+           {0, 0}, {0, 7}, {0xFFFFFFFDu, 1}, {1, 0}}) {
+    record.pairs[1] = bad;
+    ExpectLoadMonitorThrows(record.Encode(), "LoadSystemMonitor: ");
   }
 }
 
 TEST(MonitorIoErrors, UnknownMetricKindRejected) {
-  std::istringstream in(
-      "pmcorr-monitor v1\nmeasurements 1\nm 0 250 cpu@a\n");
-  EXPECT_THROW((void)LoadSystemMonitor(in), std::runtime_error);
+  ckpt::MonitorRecord record = SavedMonitorRecord();
+  record.infos[0].kind = 250;
+  ExpectLoadMonitorThrows(record.Encode(), "unknown metric kind");
 }
 
 TEST(MonitorIoErrors, NonFiniteAggregatesRejected) {
-  std::istringstream in(
-      "pmcorr-monitor v1\nmeasurements 0\npairs 0\n"
-      "aggregates 10 inf 5\n");
-  EXPECT_THROW((void)LoadSystemMonitor(in), std::runtime_error);
+  ckpt::MonitorRecord record = SavedMonitorRecord();
+  record.system_sum = std::numeric_limits<double>::infinity();
+  ExpectLoadMonitorThrows(record.Encode(), "bad aggregates");
 }
 
 TEST(MonitorIoErrors, AveragerCountBeyondStepsRejected) {
-  std::istringstream in(
-      "pmcorr-monitor v1\nmeasurements 1\nm 0 0 cpu@a\npairs 0\n"
-      "aggregates 10 1.5 3\na 1.5 11\n");
-  EXPECT_THROW((void)LoadSystemMonitor(in), std::runtime_error);
+  ckpt::MonitorRecord record = SavedMonitorRecord();
+  record.averages[1].second = record.steps + 1;
+  ExpectLoadMonitorThrows(record.Encode(), "bad averager");
+}
+
+TEST(MonitorIoErrors, BadStreamClockRejected) {
+  ckpt::MonitorRecord record = SavedMonitorRecord();
+  record.period = -60;
+  ExpectLoadMonitorThrows(record.Encode(), "bad stream clock");
+  record = SavedMonitorRecord();
+  record.has_last = 2;
+  ExpectLoadMonitorThrows(record.Encode(), "bad stream clock");
+}
+
+TEST(MonitorIoErrors, TextCheckpointFailsOnMagic) {
+  // The retired text format: a daemon finding one cold-starts.
+  ExpectLoadMonitorThrows("pmcorr-monitor v1\nmeasurements 0\npairs 0\n",
+                          "bad magic");
 }
 
 // ---------------------------------------------------------------------

@@ -133,26 +133,66 @@ TEST_P(ModelIoTruncation, TruncatedFilesThrowCleanly) {
 INSTANTIATE_TEST_SUITE_P(CutPoints, ModelIoTruncation,
                          ::testing::Values(0, 1, 3, 10, 25, 50, 75, 90, 99));
 
-TEST(ModelIo, CorruptedNumbersThrowCleanly) {
+TEST(ModelIo, CorruptedFieldsThrowCleanly) {
   const PairModel original = TrainedModel(23);
   std::stringstream stream;
   SavePairModel(original, stream);
-  std::string text = stream.str();
+  std::string bytes = stream.str();
 
-  // Replace the first digit after "matrix " with garbage.
-  const auto pos = text.find("matrix ");
-  ASSERT_NE(pos, std::string::npos);
-  text[pos + 7] = 'x';
-  std::stringstream corrupted(text);
+  // The kernel-type byte follows the 16-byte magic; 0xFF names no
+  // kernel.
+  bytes[16] = static_cast<char>(0xFF);
+  std::stringstream corrupted(bytes);
   EXPECT_THROW(LoadPairModel(corrupted), std::runtime_error);
 }
 
 TEST(ModelIo, RejectsGarbage) {
   std::stringstream stream("not a model at all");
   EXPECT_THROW(LoadPairModel(stream), std::runtime_error);
-  std::stringstream truncated("pmcorr-model v1\nkernel 0 2.0 2\n");
+  // A model file of the retired text format fails on its magic.
+  std::stringstream text("pmcorr-model v1\nkernel 0 2.0 2\n");
+  EXPECT_THROW(LoadPairModel(text), std::runtime_error);
+  std::stringstream truncated("pmcorr-model v2\n\x00");
   EXPECT_THROW(LoadPairModel(truncated), std::runtime_error);
   EXPECT_THROW(LoadPairModel("/nonexistent/model.txt"), std::runtime_error);
+}
+
+TEST(ModelIo, RoundTripKeepsThePreviousCell) {
+  PairModel model = TrainedModel(5);
+  model.Step(50.0, 55.0);
+  ASSERT_TRUE(model.PreviousCell().has_value());
+  std::stringstream stream;
+  SavePairModel(model, stream);
+  PairModel loaded = LoadPairModel(stream);
+  EXPECT_EQ(loaded.PreviousCell(), model.PreviousCell());
+
+  // The next transition is scored from that cell in both.
+  const StepOutcome a = model.Step(52.0, 56.0);
+  const StepOutcome b = loaded.Step(52.0, 56.0);
+  ASSERT_TRUE(a.has_score);
+  EXPECT_EQ(b.has_score, a.has_score);
+  EXPECT_EQ(b.rank, a.rank);
+  EXPECT_EQ(b.fitness, a.fitness);
+  EXPECT_EQ(b.probability, a.probability);
+
+  // A model without a previous cell restores without one.
+  model.ResetSequence();
+  std::stringstream reset;
+  SavePairModel(model, reset);
+  EXPECT_FALSE(LoadPairModel(reset).PreviousCell().has_value());
+}
+
+TEST(ModelIo, SaveLoadSaveIsByteIdentical) {
+  for (const bool exponential : {false, true}) {
+    PairModel model = TrainedModel(31, exponential);
+    model.Step(50.0, 55.0);
+    std::stringstream first;
+    SavePairModel(model, first);
+    const std::string bytes = first.str();
+    std::stringstream again;
+    SavePairModel(LoadPairModel(first), again);
+    EXPECT_EQ(again.str(), bytes);
+  }
 }
 
 }  // namespace

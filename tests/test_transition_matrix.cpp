@@ -463,13 +463,44 @@ TEST(TransitionMatrix, ExtensionBackfillWithForgetting) {
   }
 }
 
-TEST(TransitionMatrix, RestoreStateRejectsWrongSizes) {
+TEST(TransitionMatrix, FromStateRejectsWrongSizes) {
+  const Grid2D grid = Grid3x3();
+  const TriangularKernel kernel;
+  EXPECT_THROW((void)TransitionMatrix::FromState(
+                   grid, kernel, std::vector<double>(3, 0.0),
+                   std::vector<std::uint32_t>(81, 0), 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)TransitionMatrix::FromState(
+                   grid, kernel, std::vector<double>(81, 0.0),
+                   std::vector<std::uint32_t>(80, 0), 0),
+               std::invalid_argument);
+}
+
+TEST(TransitionMatrix, FromStateEqualsTheMatrixItWasSavedFrom) {
   const Grid2D grid = Grid3x3();
   const TriangularKernel kernel;
   TransitionMatrix matrix = TransitionMatrix::Prior(grid, kernel);
-  EXPECT_THROW(matrix.RestoreState(std::vector<double>(3, 0.0),
-                                   std::vector<std::uint32_t>(81, 0), 0),
-               std::invalid_argument);
+  matrix.ObserveTransition(0, 4, grid, kernel, 0.7, 0.9);
+  matrix.ObserveTransition(4, 8, grid, kernel, 0.7, 0.9);
+  matrix.ObserveTransition(0, 1, grid, kernel, 0.7, 0.9);
+  const TransitionMatrix restored = TransitionMatrix::FromState(
+      grid, kernel, matrix.Evidence(), matrix.Counts(),
+      matrix.ObservedCount());
+  EXPECT_EQ(restored.ObservedCount(), 3u);
+  EXPECT_EQ(restored.Counts(), matrix.Counts());
+  for (std::size_t i = 0; i < 81; ++i) {
+    EXPECT_TRUE(BitEqual(restored.Evidence()[i], matrix.Evidence()[i]));
+    EXPECT_TRUE(BitEqual(restored.PriorLogW(i / 9, i % 9),
+                         matrix.PriorLogW(i / 9, i % 9)));
+  }
+  for (std::size_t from = 0; from < 9; ++from) {
+    for (std::size_t to = 0; to < 9; ++to) {
+      EXPECT_TRUE(BitEqual(restored.Probability(from, to),
+                           matrix.Probability(from, to)));
+      EXPECT_EQ(restored.RankOf(from, to), matrix.RankOf(from, to));
+    }
+  }
+  restored.CheckInvariants();
 }
 
 }  // namespace

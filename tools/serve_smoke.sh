@@ -98,6 +98,12 @@ processed=$(grep 'tenant A: drained' "$dir/serve1.log" |
   exit 1
 }
 [[ -f "$dir/ckpt/A.ckpt" && -f "$dir/ckpt/B.ckpt" ]]
+# The seals are binary checkpoints: the monitor magic up front, the
+# CRC footer's magic in the last eight bytes.
+for seal in "$dir/ckpt/A.ckpt" "$dir/ckpt/B.ckpt"; do
+  [[ "$(head -c 17 "$seal")" == "pmcorr-monitor v2" ]]
+  [[ "$(tail -c 8 "$seal")" == "PMCRSEAL" ]]
+done
 
 # --- 4: warm restart + SIGTERM drain --------------------------------
 "$PMCORR" serve --socket "$dir/s.sock" \
